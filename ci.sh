@@ -19,6 +19,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> cargo test --workspace (every member crate's tests)"
+cargo test --workspace -q
+
 echo "==> figure8_stalls smoke gate (ARL_SCALE=1)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT

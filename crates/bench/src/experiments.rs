@@ -27,9 +27,9 @@ use crate::runner::{
     PROBE_SCHEMA,
 };
 use crate::{
-    capture_trace, capture_trace_snapshotted, capture_trace_with, evaluate_program, evaluate_trace,
-    fmt_millions, fmt_pct, profile_workload, scale_from_env, timing_trace, timing_trace_probed,
-    EvalReport, ProfileReport,
+    capture_plain_trace_with, capture_trace, capture_trace_snapshotted, evaluate_program,
+    evaluate_trace_schemes, fmt_millions, fmt_pct, profile_workload, scale_from_env, timing_trace,
+    timing_trace_probed, EvalReport, ProfileReport,
 };
 
 /// How experiments obtain each workload's dynamic instruction stream.
@@ -81,9 +81,10 @@ pub struct ExperimentOptions {
     /// tables and `SimStats` are byte-identical either way.
     pub probe: bool,
     /// Shard jobs per timing replay cell (`ARL_SHARD`; default 1 =
-    /// unsharded). With more than one, captures embed snapshot records and
-    /// every timing replay runs as a chain of shard segments — rendered
-    /// tables and `SimStats` are byte-identical either way.
+    /// unsharded). With more than one, timing captures embed snapshot
+    /// records and every timing replay runs as a chain of shard
+    /// segments — rendered tables and `SimStats` are byte-identical
+    /// either way.
     pub shards: usize,
     /// Capture-time snapshot cadence in instructions
     /// (`ARL_SNAPSHOT_INTERVAL`), used only when `shards > 1`.
@@ -503,38 +504,51 @@ fn timing_cells(
 /// the backbone of Figure 4, Table 3 and the 2-bit ablation. Results come
 /// back grouped by workload, schemes in the given order.
 ///
-/// Same capture-once/replay-many split as [`timing_cells`]; both modes
-/// produce bit-identical [`EvalReport`]s.
+/// In [`TraceMode::Replay`] each pool job is one workload: it captures a
+/// plain trace (a `"capture"` record) and makes one replay pass feeding
+/// every scheme (one `"replay"` record per scheme). In
+/// [`TraceMode::Live`] every (workload × scheme) cell re-executes
+/// functionally. Both modes produce bit-identical [`EvalReport`]s.
 fn eval_cells(
     opts: &ExperimentOptions,
     schemes: &[(&str, EvalConfig)],
 ) -> (Vec<Vec<EvalReport>>, Vec<RunRecord>) {
-    let mut records = Vec::new();
-    let results = match opts.trace {
+    match opts.trace {
         TraceMode::Replay => {
-            let (captured, capture_records) = capture_suite(opts);
-            records = capture_records;
-            let cells: Vec<(usize, usize)> = (0..captured.len())
-                .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-                .collect();
-            opts.pool().map(cells, |_i, (wi, si)| {
-                let cap = &captured[wi];
-                let (label, config) = &schemes[si];
-                timed_record(cap.spec.name, label, |record| {
-                    record.phase = "replay".into();
-                    let report =
-                        evaluate_trace(&cap.program, &cap.trace, cap.spec.name, config.clone());
-                    eval_record(record, &report);
-                    report
-                })
-            })
+            let configs: Vec<EvalConfig> = schemes.iter().map(|(_, c)| c.clone()).collect();
+            let labels: Vec<&str> = schemes.iter().map(|(label, _)| *label).collect();
+            let jobs = opts.pool().map(suite(), |_i, spec| {
+                let ((program, trace), capture) = timed_record(spec.name, "capture", |record| {
+                    record.phase = "capture".into();
+                    let program = spec.build(opts.scale);
+                    let trace = capture_plain_trace_with(&program, spec.name, |_| {});
+                    record.instructions = trace.metrics().instructions;
+                    record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
+                    (program, trace)
+                });
+                let (reports, records) =
+                    evaluate_schemes(&program, &trace, spec.name, &labels, &configs);
+                (capture, reports, records)
+            });
+            // Capture records lead, then the replay records in
+            // workload-major, scheme order — the cell-per-scheme layout.
+            let mut records: Vec<RunRecord> = Vec::new();
+            let mut replays: Vec<RunRecord> = Vec::new();
+            let mut grouped = Vec::with_capacity(jobs.len());
+            for (capture, reports, scheme_records) in jobs {
+                records.push(capture);
+                replays.extend(scheme_records);
+                grouped.push(reports);
+            }
+            records.extend(replays);
+            (grouped, records)
         }
         TraceMode::Live => {
             let cells: Vec<(WorkloadSpec, usize)> = suite()
                 .iter()
                 .flat_map(|spec| (0..schemes.len()).map(move |si| (*spec, si)))
                 .collect();
-            opts.pool().map(cells, |_i, (spec, si)| {
+            let results = opts.pool().map(cells, |_i, (spec, si)| {
                 let (label, config) = &schemes[si];
                 timed_record(spec.name, label, |record| {
                     let program = spec.build(opts.scale);
@@ -542,11 +556,40 @@ fn eval_cells(
                     eval_record(record, &report);
                     report
                 })
-            })
+            });
+            let mut records = Vec::new();
+            let grouped = group_cells(results, schemes.len(), &mut records);
+            (grouped, records)
         }
-    };
-    let grouped = group_cells(results, schemes.len(), &mut records);
-    (grouped, records)
+    }
+}
+
+/// One shared replay pass over `trace` for every scheme (see
+/// [`evaluate_trace_schemes`]), with one `"replay"` record per scheme in
+/// scheme order. Each record's `wall_seconds` is the pass's wall time
+/// divided by the number of schemes.
+fn evaluate_schemes(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    labels: &[&str],
+    configs: &[EvalConfig],
+) -> (Vec<EvalReport>, Vec<RunRecord>) {
+    let start = Instant::now();
+    let reports = evaluate_trace_schemes(program, trace, name, configs);
+    let share = start.elapsed().as_secs_f64() / configs.len().max(1) as f64;
+    let records = labels
+        .iter()
+        .zip(&reports)
+        .map(|(label, report)| {
+            let mut record = RunRecord::new(name, label);
+            record.phase = "replay".into();
+            eval_record(&mut record, report);
+            record.wall_seconds = share;
+            record
+        })
+        .collect();
+    (reports, records)
 }
 
 /// **Table 1**: per-benchmark dynamic instruction count and load/store
@@ -690,6 +733,75 @@ pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
     finish("figure2", opts, records, text, start, Vec::new())
 }
 
+/// Table 3's schemes, in column order: a 1-bit unlimited ARPT under each
+/// of the four index contexts.
+pub fn table3_schemes() -> Vec<(&'static str, EvalConfig)> {
+    [
+        ("pc-only", Context::None),
+        ("w/ GBH", Context::Gbh { bits: 8 }),
+        ("w/ CID", Context::Cid { bits: 24 }),
+        ("w/ Hybrid", Context::HYBRID_8_24),
+    ]
+    .map(|(label, context)| {
+        let config = EvalConfig {
+            kind: PredictorKind::OneBit,
+            context,
+            capacity: Capacity::Unlimited,
+            hints: None,
+        };
+        (label, config)
+    })
+    .to_vec()
+}
+
+/// The 2-bit ablation's schemes, in column order: 1-bit vs 2-bit entries
+/// of an unlimited ARPT, without and with the hybrid context.
+pub fn ablation_twobit_schemes() -> Vec<(&'static str, EvalConfig)> {
+    [
+        ("1BIT", PredictorKind::OneBit, Context::None),
+        ("2BIT", PredictorKind::TwoBit, Context::None),
+        ("1BIT-HYB", PredictorKind::OneBit, Context::HYBRID_8_24),
+        ("2BIT-HYB", PredictorKind::TwoBit, Context::HYBRID_8_24),
+    ]
+    .map(|(label, kind, context)| {
+        let config = EvalConfig {
+            kind,
+            context,
+            capacity: Capacity::Unlimited,
+            hints: None,
+        };
+        (label, config)
+    })
+    .to_vec()
+}
+
+/// Figure 5's ten variants, in column order: 1BIT-HYBRID at each ARPT
+/// capacity, first without and then with `hints`.
+pub fn figure5_schemes(hints: &HintTable) -> Vec<(String, EvalConfig)> {
+    let capacities: [(&str, Capacity); 5] = [
+        ("inf", Capacity::Unlimited),
+        ("64K", Capacity::Entries(1 << 16)),
+        ("32K", Capacity::Entries(1 << 15)),
+        ("16K", Capacity::Entries(1 << 14)),
+        ("8K", Capacity::Entries(1 << 13)),
+    ];
+    capacities
+        .iter()
+        .flat_map(|(name, capacity)| {
+            [false, true].map(|with_hints| {
+                let label = format!("{name}{}", if with_hints { "+hints" } else { "" });
+                let config = EvalConfig {
+                    kind: PredictorKind::OneBit,
+                    context: Context::HYBRID_8_24,
+                    capacity: *capacity,
+                    hints: with_hints.then(|| hints.clone()),
+                };
+                (label, config)
+            })
+        })
+        .collect()
+}
+
 /// **Figure 4**: classification accuracy of the five schemes over an
 /// unlimited ARPT.
 pub fn figure4(opts: &ExperimentOptions) -> ExperimentRun {
@@ -736,27 +848,8 @@ pub fn figure4(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Table 3**: ARPT entries occupied under each context scheme.
 pub fn table3(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let contexts: [(&str, Context); 4] = [
-        ("pc-only", Context::None),
-        ("w/ GBH", Context::Gbh { bits: 8 }),
-        ("w/ CID", Context::Cid { bits: 24 }),
-        ("w/ Hybrid", Context::HYBRID_8_24),
-    ];
     let specs = suite();
-    let schemes: Vec<(&str, EvalConfig)> = contexts
-        .iter()
-        .map(|(name, context)| {
-            (
-                *name,
-                EvalConfig {
-                    kind: PredictorKind::OneBit,
-                    context: *context,
-                    capacity: Capacity::Unlimited,
-                    hints: None,
-                },
-            )
-        })
-        .collect();
+    let schemes = table3_schemes();
     let (grouped, records) = eval_cells(opts, &schemes);
     let mut table = TableBuilder::new(&["Bench.", "pc-only", "w/ GBH", "w/ CID", "w/ Hybrid"]);
     for (spec, reports) in specs.iter().zip(&grouped) {
@@ -850,75 +943,63 @@ pub fn table4(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Figure 5**: 1BIT-HYBRID accuracy vs ARPT size, without/with hints.
 pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let capacities: [(&str, Capacity); 5] = [
-        ("inf", Capacity::Unlimited),
-        ("64K", Capacity::Entries(1 << 16)),
-        ("32K", Capacity::Entries(1 << 15)),
-        ("16K", Capacity::Entries(1 << 14)),
-        ("8K", Capacity::Entries(1 << 13)),
-    ];
     // Cell = workload: the hint table needs one profiled functional pass
-    // either way. In replay mode that pass also captures the trace (one
-    // recorded "capture" cell) and the 10 variants are pure replays; in
-    // live mode the pass is unrecorded and every variant re-executes, as
-    // the pre-trace harness did.
+    // either way. In replay mode that pass also captures a plain trace
+    // (one recorded "capture" cell) and one replay pass feeds all 10
+    // variants; in live mode the pass is unrecorded and every variant
+    // re-executes, as the pre-trace harness did.
+    let variants = |hints: &HintTable| -> Vec<EvalConfig> {
+        figure5_schemes(hints).into_iter().map(|(_, c)| c).collect()
+    };
+    // The labels do not depend on the hint table.
+    let labels: Vec<String> = figure5_schemes(&HintTable::default())
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect();
+    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let results = opts.pool().map(suite(), |_i, spec| {
-        let mut records = Vec::new();
-        let (program, hints, trace) = match opts.trace {
+        let (evals, records) = match opts.trace {
             TraceMode::Replay => {
                 let program = spec.build(opts.scale);
                 let mut profiler = RegionProfiler::new();
-                let (trace, record) = timed_record(spec.name, "capture", |record| {
+                let (trace, capture) = timed_record(spec.name, "capture", |record| {
                     record.phase = "capture".into();
-                    let trace = capture_trace_with(&program, spec.name, |e| profiler.observe(e));
+                    let trace =
+                        capture_plain_trace_with(&program, spec.name, |e| profiler.observe(e));
                     record.instructions = trace.metrics().instructions;
                     record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
                     trace
                 });
-                records.push(record);
-                let hints = HintTable::from_profile(&profiler);
-                (program, hints, Some(trace))
+                let configs = variants(&HintTable::from_profile(&profiler));
+                let (evals, replays) =
+                    evaluate_schemes(&program, &trace, spec.name, &label_refs, &configs);
+                let mut records = vec![capture];
+                records.extend(replays);
+                (evals, records)
             }
             TraceMode::Live => {
                 let report = profile_workload(spec, opts.scale);
-                let hints = HintTable::from_profile(&report.profiler);
-                (report.program, hints, None)
+                let configs = variants(&HintTable::from_profile(&report.profiler));
+                label_refs
+                    .iter()
+                    .zip(configs)
+                    .map(|(label, config)| {
+                        timed_record(spec.name, label, |record| {
+                            let eval = evaluate_program(&report.program, spec.name, config);
+                            eval_record(record, &eval);
+                            eval
+                        })
+                    })
+                    .unzip()
             }
         };
         let mut row = vec![spec.spec_name.to_string()];
-        for (cap_name, capacity) in &capacities {
-            for with_hints in [false, true] {
-                let label = format!("{cap_name}{}", if with_hints { "+hints" } else { "" });
-                let config = EvalConfig {
-                    kind: PredictorKind::OneBit,
-                    context: Context::HYBRID_8_24,
-                    capacity: *capacity,
-                    hints: with_hints.then(|| hints.clone()),
-                };
-                let (eval, record) = timed_record(spec.name, &label, |record| {
-                    let eval = match &trace {
-                        Some(trace) => {
-                            record.phase = "replay".into();
-                            evaluate_trace(&program, trace, spec.name, config)
-                        }
-                        None => evaluate_program(&program, spec.name, config),
-                    };
-                    eval_record(record, &eval);
-                    eval
-                });
-                row.push(fmt_pct(eval.stats.accuracy(), 2));
-                records.push(record);
-            }
-        }
+        row.extend(evals.iter().map(|eval| fmt_pct(eval.stats.accuracy(), 2)));
         (row, records)
     });
-    let mut header: Vec<String> = vec!["Benchmark".into()];
-    for (name, _) in &capacities {
-        header.push(name.to_string());
-        header.push(format!("{name}+hints"));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = TableBuilder::new(&header_refs);
+    let mut header: Vec<&str> = vec!["Benchmark"];
+    header.extend(&label_refs);
+    let mut table = TableBuilder::new(&header);
     let mut records = Vec::new();
     for (row, cell_records) in results {
         table.row(&row);
@@ -1170,27 +1251,8 @@ pub fn ablation_recovery(opts: &ExperimentOptions) -> ExperimentRun {
 /// Ablation: 1-bit vs 2-bit ARPT entries.
 pub fn ablation_twobit(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let variants: [(&str, PredictorKind, Context); 4] = [
-        ("1BIT", PredictorKind::OneBit, Context::None),
-        ("2BIT", PredictorKind::TwoBit, Context::None),
-        ("1BIT-HYB", PredictorKind::OneBit, Context::HYBRID_8_24),
-        ("2BIT-HYB", PredictorKind::TwoBit, Context::HYBRID_8_24),
-    ];
     let specs = suite();
-    let schemes: Vec<(&str, EvalConfig)> = variants
-        .iter()
-        .map(|(label, kind, context)| {
-            (
-                *label,
-                EvalConfig {
-                    kind: *kind,
-                    context: *context,
-                    capacity: Capacity::Unlimited,
-                    hints: None,
-                },
-            )
-        })
-        .collect();
+    let schemes = ablation_twobit_schemes();
     let (grouped, records) = eval_cells(opts, &schemes);
     let mut table = TableBuilder::new(&["Benchmark", "1BIT", "2BIT", "1BIT-HYB", "2BIT-HYB"]);
     let mut wins = [0u32; 2];

@@ -9,11 +9,13 @@
 //! * [`evaluate`] — prediction-accuracy runs for arbitrary
 //!   [`EvalConfig`]s (drives Figure 4, Table 3, Figure 5 and the 2-bit
 //!   ablation).
-//! * [`capture_trace`] / [`evaluate_trace`] / [`timing_trace`] — the
-//!   execute-once/replay-many pipeline: each workload runs functionally
-//!   once per experiment and the config sweep replays its `.arltrace`
-//!   capture (`ARL_TRACE=live` restores per-cell re-execution; outputs
-//!   are byte-identical either way).
+//! * [`capture_trace`] / [`evaluate_trace_schemes`] / [`timing_trace`] —
+//!   the execute-once/replay-many pipeline: each workload runs
+//!   functionally once per experiment and the config sweep replays its
+//!   `.arltrace` capture (`ARL_TRACE=live` restores per-cell
+//!   re-execution; outputs are byte-identical either way). Prediction
+//!   sweeps decode each capture once and feed every scheme from that one
+//!   pass.
 //! * [`Pool`] and the experiment entry points ([`figure8`], [`table1`],
 //!   ...) — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
@@ -73,9 +75,10 @@ pub use faults::{
 };
 
 pub use experiments::{
-    ablation_l1size, ablation_lvc, ablation_ports, ablation_recovery, ablation_twobit, figure2,
-    figure4, figure5, figure8, figure8_stalls, probe, run_main, table1, table2, table3, table4,
-    ExperimentOptions, ExperimentRun, TraceMode,
+    ablation_l1size, ablation_lvc, ablation_ports, ablation_recovery, ablation_twobit,
+    ablation_twobit_schemes, figure2, figure4, figure5, figure5_schemes, figure8, figure8_stalls,
+    probe, run_main, table1, table2, table3, table3_schemes, table4, ExperimentOptions,
+    ExperimentRun, TraceMode,
 };
 pub use runner::{
     deadline_from_value, dedupe_failures, force_from_env, retries_from_value, threads_from_value,
@@ -87,8 +90,8 @@ pub use runner::{
 use arl_asm::Program;
 use arl_core::{EvalConfig, Evaluator, HintTable, PredictionStats};
 use arl_sim::{
-    Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler, TraceEntry,
-    TraceSource, WindowStats, WorkloadCharacter,
+    ExecError, Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler,
+    TraceEntry, TraceSource, WindowStats, WorkloadCharacter,
 };
 use arl_trace::{Replayer, Trace};
 use arl_workloads::{suite, Scale, WorkloadSpec};
@@ -206,48 +209,41 @@ pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> Ev
     }
 }
 
-/// Captures a workload's full dynamic trace (one functional execution),
-/// optionally feeding every retired instruction to `visitor` so profilers
-/// ride along on the same pass.
+/// Captures a workload's full dynamic trace (one functional execution).
 ///
 /// Unless `ARL_TRACE_COMPILED=0`, the capture also *compiles* the trace:
 /// per-instruction model facts are precomputed into a version-3 section
-/// so replays skip the recomputation (bit-identical results either way).
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
-pub fn capture_trace_with<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    name: &str,
-    visitor: F,
-) -> Trace {
-    let trace = if compiled_capture_from_env() {
-        arl_trace::capture_compiled_with(program, INST_CAP, 0, visitor)
-    } else {
-        arl_trace::capture_with(program, INST_CAP, visitor)
-    }
-    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-    assert!(
-        trace.metrics().exited,
-        "workload {name} exceeded the instruction cap"
-    );
-    trace
-}
-
-/// Captures a workload's full dynamic trace (one functional execution).
+/// so timing replays skip the recomputation (bit-identical results either
+/// way).
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
 pub fn capture_trace(program: &Program, name: &str) -> Trace {
-    capture_trace_with(program, name, |_| {})
+    capture_trace_snapshotted(program, name, 0)
+}
+
+/// Captures a workload's plain (version-2) trace, feeding every retired
+/// instruction to `visitor` so profilers ride along on the same pass. It
+/// has no compiled section and no snapshots, whatever
+/// `ARL_TRACE_COMPILED` says: the prediction experiments use it, and the
+/// [`Evaluator`] never reads the compiled section.
+///
+/// # Panics
+///
+/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
+pub(crate) fn capture_plain_trace_with<F: FnMut(&TraceEntry)>(
+    program: &Program,
+    name: &str,
+    visitor: F,
+) -> Trace {
+    checked_capture(name, arl_trace::capture_with(program, INST_CAP, visitor))
 }
 
 /// [`capture_trace`] with a snapshot record every `interval` retired
 /// instructions (0 disables snapshots), so the capture can be replayed in
 /// shard segments (`ARL_SHARD`; see [`replay_sharded`]). Honours
-/// `ARL_TRACE_COMPILED` like [`capture_trace_with`].
+/// `ARL_TRACE_COMPILED` like [`capture_trace`].
 ///
 /// # Panics
 ///
@@ -257,8 +253,13 @@ pub fn capture_trace_snapshotted(program: &Program, name: &str, interval: u64) -
         arl_trace::capture_compiled(program, INST_CAP, interval)
     } else {
         arl_trace::capture_snapshotted(program, INST_CAP, interval)
-    }
-    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+    };
+    checked_capture(name, trace)
+}
+
+/// Unwraps a capture, panicking if the workload failed or hit the cap.
+fn checked_capture(name: &str, trace: Result<Trace, ExecError>) -> Trace {
+    let trace = trace.unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
     assert!(
         trace.metrics().exited,
         "workload {name} exceeded the instruction cap"
@@ -269,7 +270,8 @@ pub fn capture_trace_snapshotted(program: &Program, name: &str, interval: u64) -
 /// Replays a captured trace through a predictor configuration — the
 /// trace-driven twin of [`evaluate_program`], with zero functional
 /// re-execution. The replayed entry stream is bit-identical to live
-/// execution, so the resulting [`EvalReport`] is too.
+/// execution, so the resulting [`EvalReport`] is too. The one-scheme case
+/// of [`evaluate_trace_schemes`].
 ///
 /// # Panics
 ///
@@ -280,17 +282,50 @@ pub fn evaluate_trace(
     name: &str,
     config: EvalConfig,
 ) -> EvalReport {
+    let mut reports = evaluate_trace_schemes(program, trace, name, &[config]);
+    reports.pop().expect("one report per scheme")
+}
+
+/// Replays a captured trace once, feeding every entry to one
+/// [`Evaluator`] per config: one decode pass serves the whole scheme
+/// sweep. Reports come back in `configs` order, each equal to what a
+/// separate [`evaluate_trace`] (or live [`evaluate_program`]) run of
+/// that config produces — evaluators share nothing but the entry stream.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly against `program`.
+pub fn evaluate_trace_schemes(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: &[EvalConfig],
+) -> Vec<EvalReport> {
     let mut replayer = Replayer::new(trace, program)
         .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
-    let mut evaluator = Evaluator::new(config);
-    evaluator
-        .consume(&mut replayer)
-        .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"));
-    EvalReport {
-        stats: *evaluator.stats(),
-        arpt_occupied: evaluator.arpt_occupied(),
-        metrics: replayer.metrics(),
+    let mut evaluators: Vec<Evaluator> = configs.iter().cloned().map(Evaluator::new).collect();
+    while let Some(entry) = replayer
+        .next_entry()
+        .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
+    {
+        // Evaluators ignore non-memory entries; skip them once, not per
+        // scheme.
+        if entry.mem.is_none() {
+            continue;
+        }
+        for evaluator in &mut evaluators {
+            evaluator.observe(&entry);
+        }
     }
+    let metrics = replayer.metrics();
+    evaluators
+        .iter()
+        .map(|evaluator| EvalReport {
+            stats: *evaluator.stats(),
+            arpt_occupied: evaluator.arpt_occupied(),
+            metrics,
+        })
+        .collect()
 }
 
 /// Replays a captured trace through the cycle-level timing model — the

@@ -7,12 +7,14 @@
 //!
 //! The whole test binary runs under a counting `#[global_allocator]`;
 //! each measurement replays a pre-collected entry slice so capture-side
-//! allocations stay outside the measured window.
+//! allocations stay outside the measured window. The count is per thread:
+//! the test harness runs tests on parallel threads, and one test's
+//! allocations must not land in another's measured window.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use arl_asm::{Program, ProgramBuilder, Provenance};
 use arl_isa::Gpr;
@@ -21,21 +23,36 @@ use arl_timing::{CoreMode, MachineConfig, TimingSim};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free, so the allocator can touch it
+    // without allocating or re-entering itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only during thread teardown; those allocations
+    // belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -87,10 +104,10 @@ fn collect_entries(program: &Program) -> Vec<TraceEntry> {
 
 /// Allocations performed while replaying `entries` through a fresh sim.
 fn allocs_for(entries: &[TraceEntry], config: &MachineConfig) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let stats = TimingSim::run_trace(entries, config);
     assert_eq!(stats.instructions, entries.len() as u64);
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// Replay allocation counts must be (near-)independent of trace length:

@@ -15,14 +15,21 @@
 
 use std::sync::Mutex;
 
-use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
-use arl::sim::{functional_instructions_executed, Machine, TraceEntry, TraceSource};
+use arl::core::{Capacity, Context, EvalConfig, Evaluator, HintTable, PredictorKind};
+use arl::sim::{
+    functional_instructions_executed, Machine, RegionProfiler, TraceEntry, TraceSource,
+};
 use arl::timing::{MachineConfig, TimingSim};
-use arl::trace::{capture, Replayer};
+use arl::trace::{capture, capture_compiled, capture_with, Replayer};
 use arl::workloads::{suite, Scale};
-use arl_bench::{ExperimentOptions, ExperimentRun, TraceMode};
+use arl_bench::{
+    ablation_twobit_schemes, evaluate_trace, evaluate_trace_schemes, figure5_schemes,
+    table3_schemes, ExperimentOptions, ExperimentRun, TraceMode,
+};
 
 static SERIAL: Mutex<()> = Mutex::new(());
+
+type Experiment = fn(&ExperimentOptions) -> ExperimentRun;
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -105,6 +112,42 @@ fn replayed_predictor_stats_are_bit_identical_for_every_workload() {
     }
 }
 
+/// The prediction experiments' fan-out: one replay pass over a plain
+/// capture feeding every scheme must equal one separate replay per scheme
+/// over a compiled capture, for every experiment's scheme set.
+#[test]
+fn fanned_out_scheme_evaluation_matches_separate_replays() {
+    let _guard = lock();
+    fn configs<L>(schemes: Vec<(L, EvalConfig)>) -> Vec<EvalConfig> {
+        schemes.into_iter().map(|(_, config)| config).collect()
+    }
+    for spec in suite() {
+        let program = spec.build(Scale::tiny());
+        let mut profiler = RegionProfiler::new();
+        let plain = capture_with(&program, CAP, |e| profiler.observe(e)).expect("plain capture");
+        let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
+        assert!(!plain.has_model() && compiled.has_model());
+        let hints = HintTable::from_profile(&profiler);
+        let sets = [
+            ("figure4", configs(EvalConfig::figure4_schemes())),
+            ("table3", configs(table3_schemes())),
+            ("ablation_twobit", configs(ablation_twobit_schemes())),
+            ("figure5", configs(figure5_schemes(&hints))),
+        ];
+        for (set, configs) in &sets {
+            let fanned = evaluate_trace_schemes(&program, &plain, spec.name, configs);
+            assert_eq!(fanned.len(), configs.len(), "{}/{set}: reports", spec.name);
+            for (si, (config, fan)) in configs.iter().zip(&fanned).enumerate() {
+                let single = evaluate_trace(&program, &compiled, spec.name, config.clone());
+                let cell = format!("{}/{set} scheme {si}", spec.name);
+                assert_eq!(fan.stats, single.stats, "{cell}: stats");
+                assert_eq!(fan.arpt_occupied, single.arpt_occupied, "{cell}: ARPT");
+                assert_eq!(fan.metrics, single.metrics, "{cell}: metrics");
+            }
+        }
+    }
+}
+
 #[test]
 fn replayed_timing_stats_are_bit_identical_for_every_workload() {
     let _guard = lock();
@@ -130,23 +173,40 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
     let opts = ExperimentOptions::new(Scale::tiny(), 2);
     assert_eq!(opts.trace, TraceMode::Replay);
 
-    let before = functional_instructions_executed();
-    let run = arl_bench::figure4(&opts);
-    let executed = functional_instructions_executed() - before;
-
-    let captures: Vec<_> = run
-        .report
-        .records
-        .iter()
-        .filter(|r| r.phase == "capture")
-        .collect();
-    assert_eq!(captures.len(), suite().len(), "one capture per workload");
-    let captured_insts: u64 = captures.iter().map(|r| r.instructions).sum();
-    assert!(captured_insts > 0);
-    assert_eq!(
-        executed, captured_insts,
-        "figure4 must execute exactly the 12 capture passes and nothing more"
-    );
+    // Returns the experiment's run and its captured instruction total,
+    // after checking that the functional-instruction counter moved by
+    // exactly that total: one capture pass per workload, nothing more.
+    let run_once = |name: &str, f: Experiment| {
+        let before = functional_instructions_executed();
+        let run = f(&opts);
+        let executed = functional_instructions_executed() - before;
+        let captures: Vec<_> = run
+            .report
+            .records
+            .iter()
+            .filter(|r| r.phase == "capture")
+            .collect();
+        assert_eq!(
+            captures.len(),
+            suite().len(),
+            "{name}: one capture per workload"
+        );
+        let captured_insts: u64 = captures.iter().map(|r| r.instructions).sum();
+        assert!(captured_insts > 0);
+        assert_eq!(
+            executed, captured_insts,
+            "{name} must execute exactly the 12 capture passes and nothing more"
+        );
+        (run, captured_insts)
+    };
+    for (name, f) in [
+        ("table3", arl_bench::table3 as Experiment),
+        ("ablation_twobit", arl_bench::ablation_twobit),
+        ("figure5", arl_bench::figure5),
+    ] {
+        run_once(name, f);
+    }
+    let (run, captured_insts) = run_once("figure4", arl_bench::figure4);
 
     // The live-mode control: the same sweep re-executes per cell, so it
     // burns one functional pass per scheme.
@@ -167,16 +227,19 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
     );
 }
 
-/// Figure 8 (the paper's headline timing sweep) and a prediction ablation
-/// must render byte-identical tables in live and replay modes.
+/// Figure 8 (the paper's headline timing sweep) and the prediction
+/// experiments whose replay fans every scheme out of one pass must render
+/// byte-identical tables in live and replay modes (figure4 is checked by
+/// the execute-once test above).
 #[test]
 fn live_and_replay_modes_emit_identical_tables() {
     let _guard = lock();
     let opts = ExperimentOptions::new(Scale::tiny(), 2);
-    type Experiment = fn(&ExperimentOptions) -> ExperimentRun;
     for (name, f) in [
         ("figure8", arl_bench::figure8 as Experiment),
-        ("ablation_twobit", arl_bench::ablation_twobit as Experiment),
+        ("ablation_twobit", arl_bench::ablation_twobit),
+        ("table3", arl_bench::table3),
+        ("figure5", arl_bench::figure5),
     ] {
         let replay = f(&opts);
         let live = f(&opts.with_trace(TraceMode::Live));
