@@ -22,6 +22,9 @@ cargo test -q
 echo "==> cargo test --workspace (every member crate's tests)"
 cargo test --workspace -q
 
+echo "==> perfbench tests (the benchmark is a package of its own)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> figure8_stalls smoke gate (ARL_SCALE=1)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT

@@ -27,9 +27,9 @@ use crate::runner::{
     PROBE_SCHEMA,
 };
 use crate::{
-    capture_plain_trace_with, capture_trace, capture_trace_snapshotted, evaluate_program,
-    evaluate_trace_schemes, fmt_millions, fmt_pct, profile_workload, scale_from_env, timing_trace,
-    timing_trace_probed, EvalReport, ProfileReport,
+    capture_plain_trace_with, evaluate_program, evaluate_trace_schemes, fmt_millions, fmt_pct,
+    profile_workload, scale_from_env, timing_trace_fanned, timing_trace_fanned_probed, EvalReport,
+    FannedTiming, ProfileReport,
 };
 
 /// How experiments obtain each workload's dynamic instruction stream.
@@ -257,6 +257,14 @@ struct ProbeCell {
 }
 
 impl ProbeCell {
+    fn new(workload: &str, config: &MachineConfig, recorder: Recorder) -> ProbeCell {
+        ProbeCell {
+            workload: workload.to_string(),
+            config: config.name.clone(),
+            recorder,
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::obj([
             ("workload", Json::from(self.workload.as_str())),
@@ -326,42 +334,6 @@ fn timing_record(record: &mut RunRecord, stats: &SimStats) {
     record.peak_rss_bytes = stats.peak_rss_bytes;
 }
 
-/// One workload captured for replay: the built program plus its recorded
-/// dynamic trace.
-struct Captured {
-    spec: WorkloadSpec,
-    program: Program,
-    trace: Trace,
-}
-
-/// Executes every suite workload functionally exactly once (in parallel),
-/// capturing its trace. The per-workload `"capture"` records lead the
-/// experiment's record list; subsequent sweep cells are pure replays.
-fn capture_suite(opts: &ExperimentOptions) -> (Vec<Captured>, Vec<RunRecord>) {
-    let results = opts.pool().map(suite(), |_i, spec| {
-        timed_record(spec.name, "capture", |record| {
-            record.phase = "capture".into();
-            let program = spec.build(opts.scale);
-            // Sharded replays resume at snapshot boundaries, so the
-            // capture must embed them; unsharded runs keep the
-            // byte-identical snapshot-free container.
-            let trace = if opts.shards > 1 {
-                capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
-            } else {
-                capture_trace(&program, spec.name)
-            };
-            record.instructions = trace.metrics().instructions;
-            record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-            Captured {
-                spec,
-                program,
-                trace,
-            }
-        })
-    });
-    results.into_iter().unzip()
-}
-
 /// Regroups a flat `(value, record)` cell list (workload-major, `per`
 /// cells each) into per-workload rows, appending the records in cell
 /// order.
@@ -381,36 +353,113 @@ fn group_cells<T>(
     grouped
 }
 
-/// Runs one timing cell, attaching a [`Recorder`] when `probe` is set.
-/// `trace` selects replay (Some) vs live execution (None); with
-/// `shards > 1` a replay cell runs as a chain of snapshot-bounded shard
-/// segments. The stats are bit-identical across all combinations.
-fn run_timing(
+/// Builds `spec` and executes it functionally once, capturing a plain
+/// trace with a snapshot every `interval` instructions (0 = none); the
+/// `"capture"` record that leads a replay-mode sweep's records.
+fn capture_program(
+    opts: &ExperimentOptions,
+    spec: WorkloadSpec,
+    interval: u64,
+) -> ((Program, Trace), RunRecord) {
+    timed_record(spec.name, "capture", |record| {
+        record.phase = "capture".into();
+        let program = spec.build(opts.scale);
+        let trace = capture_plain_trace_with(&program, spec.name, interval, |_| {});
+        record.instructions = trace.metrics().instructions;
+        record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
+        (program, trace)
+    })
+}
+
+/// One timing cell's outcome — its stats and, when probed, the recorder
+/// that watched it — with its record.
+type TimingCell = ((SimStats, Option<ProbeCell>), RunRecord);
+
+/// Runs one live timing cell (the program executes functionally under
+/// the timing model), attaching a [`Recorder`] when `probe` is set.
+fn run_live(
     probe: bool,
-    shards: usize,
     program: &Program,
-    trace: Option<&Trace>,
-    name: &str,
     config: &MachineConfig,
 ) -> (SimStats, Option<Recorder>) {
-    if shards > 1 {
-        if let Some(trace) = trace {
-            let run = crate::shard::replay_sharded(program, trace, name, config, shards, probe);
-            return (run.stats, run.recorder);
-        }
+    if probe {
+        let (stats, rec) = TimingSim::run_program_probed(program, config, Recorder::new());
+        (stats, Some(rec))
+    } else {
+        (TimingSim::run_program(program, config), None)
     }
-    match (probe, trace) {
-        (false, Some(trace)) => (timing_trace(program, trace, name, config), None),
-        (true, Some(trace)) => {
-            let (stats, rec) = timing_trace_probed(program, trace, name, config);
-            (stats, Some(rec))
-        }
-        (false, None) => (TimingSim::run_program(program, config), None),
-        (true, None) => {
-            let (stats, rec) = TimingSim::run_program_probed(program, config, Recorder::new());
-            (stats, Some(rec))
-        }
-    }
+}
+
+/// One replay-mode pool job of a timing sweep. It executes `spec`
+/// functionally once, capturing a plain trace (the `"capture"` record),
+/// replays the trace through every config (one `"replay"` record each,
+/// in config order), and drops it. Unsharded, one lock-step pass decodes
+/// the trace once for all configs ([`timing_trace_fanned`]); with
+/// `shards > 1` each config replays as a chain of snapshot-bounded shard
+/// segments. The stats are bit-identical either way, and to live runs.
+fn replay_program(
+    opts: &ExperimentOptions,
+    spec: WorkloadSpec,
+    configs: &[MachineConfig],
+) -> (RunRecord, Vec<TimingCell>) {
+    // Sharded replays resume at snapshot boundaries, so the capture must
+    // embed them; unsharded runs keep the byte-identical snapshot-free
+    // container.
+    let interval = if opts.shards > 1 {
+        opts.snapshot_interval
+    } else {
+        0
+    };
+    let ((program, trace), capture) = capture_program(opts, spec, interval);
+    let cells = if opts.shards > 1 {
+        configs
+            .iter()
+            .map(|config| {
+                timed_record(spec.name, &config.name, |record| {
+                    record.phase = "replay".into();
+                    let run = crate::shard::replay_sharded(
+                        &program,
+                        &trace,
+                        spec.name,
+                        config,
+                        opts.shards,
+                        opts.probe,
+                    );
+                    timing_record(record, &run.stats);
+                    let cell = run.recorder.map(|r| ProbeCell::new(spec.name, config, r));
+                    (run.stats, cell)
+                })
+            })
+            .collect()
+    } else if opts.probe {
+        let runs = timing_trace_fanned_probed(&program, &trace, spec.name, configs);
+        fanned_cells(runs, spec.name, configs, Some)
+    } else {
+        let runs = timing_trace_fanned(&program, &trace, spec.name, configs);
+        fanned_cells(runs, spec.name, configs, |_| None)
+    };
+    (capture, cells)
+}
+
+/// Turns a lock-step fan-out's results into timing cells, each record
+/// carrying its config's own replay wall time.
+fn fanned_cells<P>(
+    runs: Vec<FannedTiming<P>>,
+    name: &str,
+    configs: &[MachineConfig],
+    recorder: impl Fn(P) -> Option<Recorder>,
+) -> Vec<TimingCell> {
+    runs.into_iter()
+        .zip(configs)
+        .map(|(run, config)| {
+            let mut record = RunRecord::new(name, &config.name);
+            record.phase = "replay".into();
+            timing_record(&mut record, &run.stats);
+            record.wall_seconds = run.wall_seconds;
+            let cell = recorder(run.probe).map(|r| ProbeCell::new(name, config, r));
+            ((run.stats, cell), record)
+        })
+        .collect()
 }
 
 /// Runs every (workload × config) timing cell in parallel; the backbone
@@ -418,10 +467,11 @@ fn run_timing(
 /// workload, configs in the given order, with one [`ProbeCell`] per cell
 /// (in cell order) when `opts.probe` is set.
 ///
-/// In [`TraceMode::Replay`] each workload executes functionally once (a
-/// `"capture"` cell) and every config cell replays the trace; in
-/// [`TraceMode::Live`] every cell re-executes functionally. Both modes
-/// produce bit-identical [`SimStats`].
+/// In [`TraceMode::Replay`] each pool job is one workload
+/// ([`replay_program`]): it executes functionally once (a `"capture"`
+/// record) and one lock-step replay feeds every config. In
+/// [`TraceMode::Live`] every (workload × config) cell re-executes
+/// functionally. Both modes produce bit-identical [`SimStats`].
 fn timing_cells(
     opts: &ExperimentOptions,
     configs: &[MachineConfig],
@@ -434,36 +484,19 @@ fn timing_cells(
         .collect();
     let configs = configs.as_slice();
     let mut records = Vec::new();
-    let results = match opts.trace {
+    let results: Vec<TimingCell> = match opts.trace {
         TraceMode::Replay => {
-            let (captured, capture_records) = capture_suite(opts);
-            records = capture_records;
-            let cells: Vec<(usize, MachineConfig)> = (0..captured.len())
-                .flat_map(|wi| configs.iter().map(move |c| (wi, c.clone())))
-                .collect();
-            opts.pool().map(cells, |_i, (wi, config)| {
-                let cap = &captured[wi];
-                timed_record(cap.spec.name, &config.name, |record| {
-                    record.phase = "replay".into();
-                    let (stats, rec) = run_timing(
-                        opts.probe,
-                        opts.shards,
-                        &cap.program,
-                        Some(&cap.trace),
-                        cap.spec.name,
-                        &config,
-                    );
-                    timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: cap.spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
-                })
-            })
+            // One job per workload; capture records lead, then the replay
+            // records in workload-major, config order.
+            let jobs = opts
+                .pool()
+                .map(suite(), |_i, spec| replay_program(opts, spec, configs));
+            let mut replays = Vec::with_capacity(jobs.len() * configs.len());
+            for (capture, cells) in jobs {
+                records.push(capture);
+                replays.extend(cells);
+            }
+            replays
         }
         TraceMode::Live => {
             let cells: Vec<(WorkloadSpec, MachineConfig)> = suite()
@@ -473,17 +506,9 @@ fn timing_cells(
             opts.pool().map(cells, |_i, (spec, config)| {
                 timed_record(spec.name, &config.name, |record| {
                     let program = spec.build(opts.scale);
-                    let (stats, rec) =
-                        run_timing(opts.probe, 1, &program, None, spec.name, &config);
+                    let (stats, rec) = run_live(opts.probe, &program, &config);
                     timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
+                    (stats, rec.map(|r| ProbeCell::new(spec.name, &config, r)))
                 })
             })
         }
@@ -518,14 +543,7 @@ fn eval_cells(
             let configs: Vec<EvalConfig> = schemes.iter().map(|(_, c)| c.clone()).collect();
             let labels: Vec<&str> = schemes.iter().map(|(label, _)| *label).collect();
             let jobs = opts.pool().map(suite(), |_i, spec| {
-                let ((program, trace), capture) = timed_record(spec.name, "capture", |record| {
-                    record.phase = "capture".into();
-                    let program = spec.build(opts.scale);
-                    let trace = capture_plain_trace_with(&program, spec.name, |_| {});
-                    record.instructions = trace.metrics().instructions;
-                    record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-                    (program, trace)
-                });
+                let ((program, trace), capture) = capture_program(opts, spec, 0);
                 let (reports, records) =
                     evaluate_schemes(&program, &trace, spec.name, &labels, &configs);
                 (capture, reports, records)
@@ -965,7 +983,7 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
                 let (trace, capture) = timed_record(spec.name, "capture", |record| {
                     record.phase = "capture".into();
                     let trace =
-                        capture_plain_trace_with(&program, spec.name, |e| profiler.observe(e));
+                        capture_plain_trace_with(&program, spec.name, 0, |e| profiler.observe(e));
                     record.instructions = trace.metrics().instructions;
                     record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
                     trace
@@ -1294,57 +1312,18 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
         MachineConfig::decoupled(3, 3),
     ];
     let mut records = Vec::new();
-    let results = match opts.trace {
+    let results: Vec<TimingCell> = match opts.trace {
         TraceMode::Replay => {
-            let program = spec.build(opts.scale);
-            let (trace, record) = timed_record(spec.name, "capture", |record| {
-                record.phase = "capture".into();
-                let trace = if opts.shards > 1 {
-                    capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
-                } else {
-                    capture_trace(&program, spec.name)
-                };
-                record.instructions = trace.metrics().instructions;
-                record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-                trace
-            });
-            records.push(record);
-            opts.pool().map(configs.to_vec(), |_i, config| {
-                timed_record(spec.name, &config.name, |record| {
-                    record.phase = "replay".into();
-                    let (stats, rec) = run_timing(
-                        opts.probe,
-                        opts.shards,
-                        &program,
-                        Some(&trace),
-                        spec.name,
-                        &config,
-                    );
-                    timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
-                })
-            })
+            let (capture, cells) = replay_program(opts, spec, &configs);
+            records.push(capture);
+            cells
         }
         TraceMode::Live => opts.pool().map(configs.to_vec(), |_i, config| {
             timed_record(spec.name, &config.name, |record| {
                 let program = spec.build(opts.scale);
-                let (stats, rec) = run_timing(opts.probe, 1, &program, None, spec.name, &config);
+                let (stats, rec) = run_live(opts.probe, &program, &config);
                 timing_record(record, &stats);
-                (
-                    stats,
-                    rec.map(|recorder| ProbeCell {
-                        workload: spec.name.to_string(),
-                        config: config.name.clone(),
-                        recorder,
-                    }),
-                )
+                (stats, rec.map(|r| ProbeCell::new(spec.name, &config, r)))
             })
         }),
     };

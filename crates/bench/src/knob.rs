@@ -76,12 +76,12 @@ pub fn knob_bool(name: &str, value: Option<&str>, default: bool) -> bool {
     )
 }
 
-/// Resolves a raw `ARL_TRACE_COMPILED` value: whether the timing
-/// experiments' trace captures embed the precomputed per-instruction
-/// model section (version-3 traces; prediction experiments always
-/// capture plain traces). Defaults to on — timing replays consume the
-/// hints and skip model recomputation; stats are bit-identical either
-/// way.
+/// Resolves a raw `ARL_TRACE_COMPILED` value: whether
+/// [`capture_trace`](crate::capture_trace) captures (the backend, fault
+/// and shard benches) embed the precomputed per-instruction model
+/// section (version-3 traces; the paper experiments always capture plain
+/// traces). Defaults to on — timing replays consume the hints and skip
+/// model recomputation; stats are bit-identical either way.
 pub fn compiled_capture_from_value(value: Option<&str>) -> bool {
     knob_bool("ARL_TRACE_COMPILED", value, true)
 }

@@ -9,13 +9,14 @@
 //! * [`evaluate`] — prediction-accuracy runs for arbitrary
 //!   [`EvalConfig`]s (drives Figure 4, Table 3, Figure 5 and the 2-bit
 //!   ablation).
-//! * [`capture_trace`] / [`evaluate_trace_schemes`] / [`timing_trace`] —
-//!   the execute-once/replay-many pipeline: each workload runs
-//!   functionally once per experiment and the config sweep replays its
-//!   `.arltrace` capture (`ARL_TRACE=live` restores per-cell
-//!   re-execution; outputs are byte-identical either way). Prediction
-//!   sweeps decode each capture once and feed every scheme from that one
-//!   pass.
+//! * [`capture_trace`] / [`evaluate_trace_schemes`] /
+//!   [`timing_trace_fanned`] / [`timing_trace`] — the
+//!   execute-once/replay-many pipeline: each workload runs functionally
+//!   once per experiment and the config sweep replays its `.arltrace`
+//!   capture (`ARL_TRACE=live` restores per-cell re-execution; outputs
+//!   are byte-identical either way). Every sweep decodes each capture
+//!   once: prediction sweeps feed every scheme from that one pass, timing
+//!   sweeps feed every machine config in lock-step.
 //! * [`Pool`] and the experiment entry points ([`figure8`], [`table1`],
 //!   ...) — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
@@ -87,12 +88,15 @@ pub use runner::{
     JSON_SCHEMA, PROBE_SCHEMA,
 };
 
+use std::time::Instant;
+
 use arl_asm::Program;
 use arl_core::{EvalConfig, Evaluator, HintTable, PredictionStats};
 use arl_sim::{
-    ExecError, Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler,
-    TraceEntry, TraceSource, WindowStats, WorkloadCharacter,
+    EntrySliceSource, ExecError, Machine, Metrics, RegionBreakdown, RegionProfiler,
+    SlidingWindowProfiler, TraceEntry, TraceSource, WindowStats, WorkloadCharacter,
 };
+use arl_timing::{NullProbe, Probe, Recorder, TimingRun};
 use arl_trace::{Replayer, Trace};
 use arl_workloads::{suite, Scale, WorkloadSpec};
 
@@ -223,11 +227,12 @@ pub fn capture_trace(program: &Program, name: &str) -> Trace {
     capture_trace_snapshotted(program, name, 0)
 }
 
-/// Captures a workload's plain (version-2) trace, feeding every retired
-/// instruction to `visitor` so profilers ride along on the same pass. It
-/// has no compiled section and no snapshots, whatever
-/// `ARL_TRACE_COMPILED` says: the prediction experiments use it, and the
-/// [`Evaluator`] never reads the compiled section.
+/// Captures a workload's plain (version-2) trace, with a snapshot record
+/// every `interval` retired instructions (0 disables snapshots), feeding
+/// every retired instruction to `visitor` so profilers ride along on the
+/// same pass. It has no compiled section, whatever `ARL_TRACE_COMPILED`
+/// says: every paper experiment replays this capture, and neither the
+/// [`Evaluator`] nor the timing fan-out needs the compiled section.
 ///
 /// # Panics
 ///
@@ -235,9 +240,13 @@ pub fn capture_trace(program: &Program, name: &str) -> Trace {
 pub(crate) fn capture_plain_trace_with<F: FnMut(&TraceEntry)>(
     program: &Program,
     name: &str,
+    interval: u64,
     visitor: F,
 ) -> Trace {
-    checked_capture(name, arl_trace::capture_with(program, INST_CAP, visitor))
+    checked_capture(
+        name,
+        arl_trace::capture_snapshotted_with(program, INST_CAP, interval, visitor),
+    )
 }
 
 /// [`capture_trace`] with a snapshot record every `interval` retired
@@ -364,6 +373,132 @@ pub fn timing_trace_probed(
         .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
     arl_timing::TimingSim::run_source_probed(&mut replayer, config, arl_timing::Recorder::new())
         .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
+}
+
+/// Entries decoded per lock-step round of [`timing_trace_fanned`]: every
+/// config's [`TimingRun`] consumes one chunk before the next is decoded.
+/// At 120 bytes an entry, 4096 entries make a 480 KB chunk, and the
+/// per-round call overhead is negligible.
+const FAN_CHUNK: usize = 4096;
+
+/// One config's result from [`timing_trace_fanned`].
+pub struct FannedTiming<P> {
+    /// The config's statistics, identical to a separate [`timing_trace`]
+    /// run.
+    pub stats: arl_timing::SimStats,
+    /// The probe that watched this config's run alone.
+    pub probe: P,
+    /// Wall seconds spent in this config's own `feed` and `finish` calls
+    /// (the shared decode is charged to no config).
+    pub wall_seconds: f64,
+}
+
+/// Replays a captured trace once through every machine config in
+/// lock-step: each chunk of entries is decoded once and fed to one
+/// [`TimingRun`] per config. Results come back in `configs` order, each
+/// bit-identical to a separate [`timing_trace`] run of that config —
+/// runs share nothing but the decoded entries.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly against `program`.
+pub fn timing_trace_fanned(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: &[arl_timing::MachineConfig],
+) -> Vec<FannedTiming<NullProbe>> {
+    fan_out(program, trace, name, configs, || NullProbe, FAN_CHUNK)
+}
+
+/// [`timing_trace_fanned`] with a [`Recorder`] watching each config's
+/// run alone; each result equals a separate [`timing_trace_probed`] run,
+/// stats and probe alike.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly against `program`.
+pub fn timing_trace_fanned_probed(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: &[arl_timing::MachineConfig],
+) -> Vec<FannedTiming<Recorder>> {
+    timing_trace_fanned_probed_chunked(program, trace, name, configs, FAN_CHUNK)
+}
+
+/// [`timing_trace_fanned_probed`] with an explicit chunk size, so tests
+/// can cut the runs at every entry (`chunk == 1`) or at odd offsets. Not
+/// part of the supported API.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly, or if `chunk` is 0.
+#[doc(hidden)]
+pub fn timing_trace_fanned_probed_chunked(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: &[arl_timing::MachineConfig],
+    chunk: usize,
+) -> Vec<FannedTiming<Recorder>> {
+    fan_out(program, trace, name, configs, Recorder::new, chunk)
+}
+
+/// The lock-step driver behind the `timing_trace_fanned*` entry points.
+/// Those are not generic, so the simulator's generic code is instantiated
+/// here, at this crate's optimization level, and never again in a caller
+/// built without optimization, where the replay runs several times slower.
+fn fan_out<P: Probe>(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: &[arl_timing::MachineConfig],
+    probe: fn() -> P,
+    chunk: usize,
+) -> Vec<FannedTiming<P>> {
+    assert!(chunk > 0, "a fan-out chunk holds at least one entry");
+    let mut replayer = Replayer::new(trace, program)
+        .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
+    let mut runs: Vec<(TimingRun<P>, f64)> = configs
+        .iter()
+        .map(|config| (TimingRun::new(config, probe()), 0.0))
+        .collect();
+    let mut entries: Vec<TraceEntry> = Vec::with_capacity(chunk);
+    loop {
+        entries.clear();
+        while entries.len() < chunk {
+            match replayer
+                .next_entry()
+                .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
+            {
+                Some(entry) => entries.push(entry),
+                None => break,
+            }
+        }
+        if entries.is_empty() {
+            break;
+        }
+        for (run, wall) in &mut runs {
+            let start = Instant::now();
+            run.feed(&mut EntrySliceSource::new(&entries))
+                .unwrap_or_else(|e| panic!("slice sources cannot fail: {e}"));
+            *wall += start.elapsed().as_secs_f64();
+        }
+    }
+    let peak_rss_bytes = replayer.metrics().peak_rss_bytes;
+    runs.into_iter()
+        .map(|(run, wall)| {
+            let start = Instant::now();
+            let (mut stats, probe) = run.finish();
+            stats.peak_rss_bytes = peak_rss_bytes;
+            FannedTiming {
+                stats,
+                probe,
+                wall_seconds: wall + start.elapsed().as_secs_f64(),
+            }
+        })
+        .collect()
 }
 
 /// Builds the paper's two hint sources for a profiled workload: the

@@ -13,14 +13,14 @@ use std::collections::VecDeque;
 
 use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint};
 use arl_isa::Inst;
-use arl_sim::{ModelHints, SourceError, TraceEntry, TraceSource};
+use arl_sim::{ModelHints, SourceError, TraceEntry};
 
 use crate::cache::{MemSystem, Route};
 use crate::config::{MachineConfig, RecoveryMode};
 use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
-use crate::pipeline::SegmentRun;
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
+use crate::run::CycleLoop;
 use crate::state::{
     corrupt, read_arpt, read_stats, route_from, route_tag, write_arpt, write_stats, MidCycle,
     StateReader, StateWriter, CORE_LEGACY, STATE_MAGIC, STATE_VERSION,
@@ -139,8 +139,9 @@ struct Slot {
 }
 
 /// The preserved pre-refactor simulator. Only reachable through
-/// [`crate::TimingSim`] with [`crate::CoreMode::Legacy`] selected; the
-/// public entry points delegate here so callers never name this type.
+/// [`crate::TimingRun`] (and the [`crate::TimingSim`] entry points built
+/// on it) with [`crate::CoreMode::Legacy`] selected, so callers never
+/// name this type.
 ///
 /// The simulator is monomorphized over its [`Probe`] exactly like the
 /// event core: the default [`NullProbe`] has `ENABLED == false`, so every
@@ -178,8 +179,70 @@ pub(crate) struct LegacySim<P: Probe = NullProbe> {
     probe: P,
 }
 
+impl<P: Probe> CycleLoop for LegacySim<P> {
+    fn open_cycle(&mut self) -> MidCycle {
+        self.begin_cycle();
+        let committed = self.commit_stage();
+        self.memory_stage();
+        // Attribute the stall after the memory stage so port/MSHR denials
+        // reflect this cycle's actual bandwidth claims, but before issue
+        // mutates the head's issued state.
+        let stall = if P::ENABLED && committed == 0 {
+            Some(self.stall_cause())
+        } else {
+            None
+        };
+        let issued = self.issue_stage();
+        MidCycle {
+            committed,
+            issued,
+            dispatched: 0,
+            // The legacy core ticks every cycle; the event core's
+            // fast-forward guard never reads this.
+            mem_active: false,
+            stall,
+            rob_stalls_before: self.stats.rob_stall_cycles,
+            queue_stalls_before: self.stats.queue_stall_cycles,
+        }
+    }
+
+    #[inline]
+    fn dispatch_width(&self) -> usize {
+        self.config.issue_width
+    }
+
+    #[inline]
+    fn dispatch(&mut self, entry: &TraceEntry) -> bool {
+        self.try_dispatch(entry)
+    }
+
+    fn close_cycle(&mut self, mid: &MidCycle, source_dry: bool) -> bool {
+        if P::ENABLED {
+            let (dcache_claims, lvc_claims) = self.mem.claims_this_cycle();
+            self.probe.record(&CycleObs {
+                rob_occupancy: self.rob.len(),
+                issued: mid.issued,
+                committed: mid.committed,
+                lsq_depth: self.lsq_count,
+                lvaq_depth: self.lvaq_count,
+                dcache_claims,
+                lvc_claims,
+                stall: mid.stall,
+            });
+        }
+        if source_dry && self.rob.is_empty() && self.write_buffer.is_empty() {
+            return true;
+        }
+        debug_assert!(
+            self.cycle < 100 * self.stats.instructions.max(1_000_000),
+            "timing simulation is not making progress"
+        );
+        false
+    }
+}
+
 impl<P: Probe> LegacySim<P> {
-    fn new(config: &MachineConfig, probe: P) -> LegacySim<P> {
+    pub(crate) fn new(config: &MachineConfig, probe: P) -> LegacySim<P> {
         LegacySim {
             mem: MemSystem::new(config),
             arpt: Arpt::new(
@@ -216,128 +279,6 @@ impl<P: Probe> LegacySim<P> {
         }
     }
 
-    /// Runs one shard segment through the legacy model with an attached
-    /// probe — the legacy counterpart of
-    /// `TimingSim::run_segment_probed`, with the same mid-cycle cut
-    /// semantics (an unsharded run passes `resume: None, final_segment:
-    /// true`). The probe is pure observation — `SimStats` are identical
-    /// with any probe attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SourceError`] from the source, and rejects a
-    /// corrupt or mismatched `resume` blob as [`SourceError::Corrupt`].
-    pub(crate) fn run_segment_probed<S: TraceSource>(
-        source: &mut S,
-        config: &MachineConfig,
-        resume: Option<&[u8]>,
-        final_segment: bool,
-        probe: P,
-    ) -> Result<SegmentRun<P>, SourceError> {
-        let mut sim = LegacySim::new(config, probe);
-        let mut carried = match resume {
-            Some(blob) => Some(sim.import_state(blob)?),
-            None => None,
-        };
-        let mut pending: Option<TraceEntry> = None;
-        let mut exhausted = false;
-        loop {
-            // A carried mid-cycle resumes *inside* the cycle the previous
-            // shard stopped in: commit, memory, stall attribution and
-            // issue already ran there, so only the dispatch loop (and
-            // everything after it) executes for that cycle.
-            let mut mid = match carried.take() {
-                Some(m) => m,
-                None => {
-                    sim.begin_cycle();
-                    let committed = sim.commit_stage();
-                    sim.memory_stage();
-                    // Attribute the stall after the memory stage so
-                    // port/MSHR denials reflect this cycle's actual
-                    // bandwidth claims, but before issue mutates the
-                    // head's issued state.
-                    let stall = if P::ENABLED && committed == 0 {
-                        Some(sim.stall_cause())
-                    } else {
-                        None
-                    };
-                    let issued = sim.issue_stage();
-                    MidCycle {
-                        committed,
-                        issued,
-                        dispatched: 0,
-                        // The legacy core ticks every cycle; the event
-                        // core's fast-forward guard never reads this.
-                        mem_active: false,
-                        stall,
-                        rob_stalls_before: sim.stats.rob_stall_cycles,
-                        queue_stalls_before: sim.stats.queue_stall_cycles,
-                    }
-                }
-            };
-            // Dispatch stage: pull from the source.
-            while mid.dispatched < sim.config.issue_width {
-                let entry = match pending.take() {
-                    Some(e) => e,
-                    None => match source.next_entry()? {
-                        Some(e) => e,
-                        None => {
-                            exhausted = true;
-                            break;
-                        }
-                    },
-                };
-                if sim.try_dispatch(&entry) {
-                    mid.dispatched += 1;
-                } else {
-                    pending = Some(entry);
-                    break;
-                }
-            }
-            if exhausted && !final_segment {
-                // The segment's span is spent: stop mid-cycle and hand the
-                // machine to the next shard, which resumes inside this
-                // very cycle with the next span's entries.
-                debug_assert!(pending.is_none(), "a dry source cannot leave an entry");
-                let state = sim.export_state(&mid);
-                let mut stats = sim.stats_view();
-                stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
-                return Ok(SegmentRun {
-                    stats,
-                    state: Some(state),
-                    probe: sim.probe,
-                });
-            }
-            if P::ENABLED {
-                let (dcache_claims, lvc_claims) = sim.mem.claims_this_cycle();
-                sim.probe.record(&CycleObs {
-                    rob_occupancy: sim.rob.len(),
-                    issued: mid.issued,
-                    committed: mid.committed,
-                    lsq_depth: sim.lsq_count,
-                    lvaq_depth: sim.lvaq_count,
-                    dcache_claims,
-                    lvc_claims,
-                    stall: mid.stall,
-                });
-            }
-            if exhausted && pending.is_none() && sim.rob.is_empty() && sim.write_buffer.is_empty() {
-                break;
-            }
-            debug_assert!(
-                sim.cycle < 100 * sim.stats.instructions.max(1_000_000),
-                "timing simulation is not making progress"
-            );
-        }
-        let (mut stats, probe) = sim.finish();
-        stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
-        Ok(SegmentRun {
-            stats,
-            state: None,
-            probe,
-        })
-    }
-
     /// The statistics as they stand right now, presented finish-style
     /// (see `TimingSim::stats_view`).
     fn stats_view(&self) -> SimStats {
@@ -360,7 +301,7 @@ impl<P: Probe> LegacySim<P> {
         stats
     }
 
-    fn finish(self) -> (SimStats, P) {
+    pub(crate) fn finish(self) -> (SimStats, P) {
         (self.stats_view(), self.probe)
     }
 
@@ -370,7 +311,7 @@ impl<P: Probe> LegacySim<P> {
     /// segment boundary. The shared section mirrors the event core's blob
     /// field for field; the core-specific section is the array-of-structs
     /// ROB plus the waiting-issue queue.
-    fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
+    pub(crate) fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.bytes(&STATE_MAGIC);
         w.u8(STATE_VERSION);
@@ -446,7 +387,7 @@ impl<P: Probe> LegacySim<P> {
 
     /// Restores a blob produced by [`LegacySim::export_state`] into this
     /// freshly constructed simulator; strict like the event core's import.
-    fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
+    pub(crate) fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
         let mut r = StateReader::open(blob)?;
         if r.bytes(4)? != STATE_MAGIC {
             return Err(corrupt("bad magic"));
@@ -620,7 +561,6 @@ impl<P: Probe> LegacySim<P> {
         // stream is bit-identical.
         let hints = &entry.model;
         let mut route = Route::DataCache;
-        let mut predicted_stack = false;
         let mut arpt_predicted = false;
         let is_mem = entry.mem.is_some();
         if is_mem {
@@ -637,7 +577,7 @@ impl<P: Probe> LegacySim<P> {
                     };
                     static_hint(&info)
                 };
-                predicted_stack = match hint {
+                let predicted_stack = match hint {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
@@ -780,7 +720,6 @@ impl<P: Probe> LegacySim<P> {
             ra: entry.ra,
         });
         self.waiting_issue.push_back(seq);
-        let _ = predicted_stack;
         true
     }
 

@@ -51,6 +51,7 @@ mod legacy;
 mod metrics;
 mod pipeline;
 mod probe;
+mod run;
 mod state;
 mod valuepred;
 mod wheel;
@@ -61,5 +62,6 @@ pub use fault::{FaultKind, TimingFault};
 pub use metrics::SimStats;
 pub use pipeline::{SegmentRun, TimingSim};
 pub use probe::{CycleObs, NullProbe, Probe, Recorder, StallCause};
+pub use run::TimingRun;
 pub use valuepred::StridePredictor;
 pub use wheel::EventWheel;

@@ -14,8 +14,8 @@
 //! wake-up, memory-stage scan, commit) touch dense homogeneous memory
 //! instead of striding over wide structs.
 //!
-//! Two main loops drive the stages, selected by
-//! [`crate::CoreMode`] (`ARL_CORE`):
+//! One run loop ([`crate::TimingRun`]) drives the stages of either core,
+//! selected by [`crate::CoreMode`] (`ARL_CORE`):
 //!
 //! * **Event** (default): after executing a cycle on which provably
 //!   nothing happened (no commit, no issue, no dispatch, no memory-stage
@@ -44,10 +44,11 @@ use arl_isa::Inst;
 use arl_sim::{EntrySliceSource, Machine, ModelHints, SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
-use crate::config::{CoreMode, MachineConfig, RecoveryMode};
+use crate::config::{MachineConfig, RecoveryMode};
 use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
+use crate::run::{CycleLoop, TimingRun};
 use crate::state::{
     corrupt, read_arpt, read_stats, route_from, route_tag, write_arpt, write_stats, MidCycle,
     StateReader, StateWriter, CORE_EVENT, STATE_MAGIC, STATE_VERSION,
@@ -605,8 +606,88 @@ impl TimingSim {
     }
 }
 
+impl<P: Probe> CycleLoop for TimingSim<P> {
+    fn open_cycle(&mut self) -> MidCycle {
+        self.begin_cycle();
+        let committed = self.commit_stage();
+        let mem_active = self.memory_stage();
+        // Attribute the stall after the memory stage so port/MSHR denials
+        // reflect this cycle's actual bandwidth claims, but before issue
+        // mutates the head's issued state.
+        let stall = if P::ENABLED && committed == 0 {
+            Some(self.stall_cause())
+        } else {
+            None
+        };
+        let issued = self.issue_stage();
+        MidCycle {
+            committed,
+            issued,
+            dispatched: 0,
+            mem_active,
+            stall,
+            // A failed dispatch bumps exactly one stall counter; the
+            // deltas are what a fast-forwarded span multiplies out.
+            rob_stalls_before: self.stats.rob_stall_cycles,
+            queue_stalls_before: self.stats.queue_stall_cycles,
+        }
+    }
+
+    #[inline]
+    fn dispatch_width(&self) -> usize {
+        self.config.issue_width
+    }
+
+    #[inline]
+    fn dispatch(&mut self, entry: &TraceEntry) -> bool {
+        self.try_dispatch(entry)
+    }
+
+    fn close_cycle(&mut self, mid: &MidCycle, source_dry: bool) -> bool {
+        let obs = if P::ENABLED {
+            let (dcache_claims, lvc_claims) = self.mem.claims_this_cycle();
+            let o = CycleObs {
+                rob_occupancy: self.rob.len,
+                issued: mid.issued,
+                committed: mid.committed,
+                lsq_depth: self.lsq_count,
+                lvaq_depth: self.lvaq_count,
+                dcache_claims,
+                lvc_claims,
+                stall: mid.stall,
+            };
+            self.probe.record(&o);
+            Some(o)
+        } else {
+            None
+        };
+        if source_dry && self.rob.len == 0 && self.write_buffer.is_empty() {
+            return true;
+        }
+        // Event core: this cycle changed nothing (and the replays of it
+        // during the span cannot either), so jump to the eve of the next
+        // scheduled wake-up, replaying the span's constant per-cycle
+        // effects in bulk.
+        if mid.committed == 0
+            && mid.issued == 0
+            && mid.dispatched == 0
+            && !mid.mem_active
+            && self.arpt_faults.is_empty()
+        {
+            let rob_stall = self.stats.rob_stall_cycles - mid.rob_stalls_before;
+            let queue_stall = self.stats.queue_stall_cycles - mid.queue_stalls_before;
+            self.fast_forward_idle(rob_stall, queue_stall, obs.as_ref());
+        }
+        debug_assert!(
+            self.cycle < 100 * self.stats.instructions.max(1_000_000),
+            "timing simulation is not making progress"
+        );
+        false
+    }
+}
+
 impl<P: Probe> TimingSim<P> {
-    fn new(config: &MachineConfig, probe: P) -> TimingSim<P> {
+    pub(crate) fn new(config: &MachineConfig, probe: P) -> TimingSim<P> {
         TimingSim {
             mem: MemSystem::new(config),
             arpt: Arpt::new(
@@ -691,11 +772,11 @@ impl<P: Probe> TimingSim<P> {
     /// and returns the machine state for the next shard instead of
     /// draining the pipeline.
     ///
-    /// The cut is *mid-cycle*: a segment's span runs out inside the
-    /// dispatch loop, after commit, memory, stall attribution and issue
-    /// already ran for that cycle. The exported state therefore carries
-    /// those per-cycle locals (`MidCycle`) and the next shard resumes
-    /// inside the very same cycle, continuing dispatch where its
+    /// The cut is the one [`TimingRun::feed`] makes: *mid-cycle*, inside
+    /// the dispatch loop, after commit, memory, stall attribution and
+    /// issue already ran for that cycle. The exported state therefore
+    /// carries those per-cycle locals (`MidCycle`) and the next shard
+    /// resumes inside the very same cycle, continuing dispatch where its
     /// predecessor stopped. Chaining segments this way is bit-identical to
     /// one unsharded run — `tests/shard_differential.rs` pins this across
     /// the full workload suite. An unsharded run is simply
@@ -713,136 +794,24 @@ impl<P: Probe> TimingSim<P> {
         final_segment: bool,
         probe: P,
     ) -> Result<SegmentRun<P>, SourceError> {
-        if config.core == CoreMode::Legacy {
-            // The escape hatch: the preserved pre-refactor cycle-ticking
-            // core, bit-identical by the differential suite.
-            return crate::legacy::LegacySim::run_segment_probed(
-                source,
-                config,
-                resume,
-                final_segment,
-                probe,
-            );
-        }
-        let mut sim = TimingSim::new(config, probe);
-        let mut carried = match resume {
-            Some(blob) => Some(sim.import_state(blob)?),
-            None => None,
+        let mut run = match resume {
+            Some(blob) => TimingRun::resume(config, blob, probe)?,
+            None => TimingRun::new(config, probe),
         };
-        let mut pending: Option<TraceEntry> = None;
-        let mut exhausted = false;
-        loop {
-            // A carried mid-cycle resumes *inside* the cycle the previous
-            // shard stopped in: commit, memory, stall attribution and
-            // issue already ran there, so only the dispatch loop (and
-            // everything after it) executes for that cycle.
-            let mut mid = match carried.take() {
-                Some(m) => m,
-                None => {
-                    sim.begin_cycle();
-                    let committed = sim.commit_stage();
-                    let mem_active = sim.memory_stage();
-                    // Attribute the stall after the memory stage so
-                    // port/MSHR denials reflect this cycle's actual
-                    // bandwidth claims, but before issue mutates the
-                    // head's issued state.
-                    let stall = if P::ENABLED && committed == 0 {
-                        Some(sim.stall_cause())
-                    } else {
-                        None
-                    };
-                    let issued = sim.issue_stage();
-                    MidCycle {
-                        committed,
-                        issued,
-                        dispatched: 0,
-                        mem_active,
-                        stall,
-                        // A failed dispatch bumps exactly one stall
-                        // counter; the deltas are what a fast-forwarded
-                        // span multiplies out.
-                        rob_stalls_before: sim.stats.rob_stall_cycles,
-                        queue_stalls_before: sim.stats.queue_stall_cycles,
-                    }
-                }
-            };
-            // Dispatch stage: pull from the source.
-            while mid.dispatched < sim.config.issue_width {
-                let entry = match pending.take() {
-                    Some(e) => e,
-                    None => match source.next_entry()? {
-                        Some(e) => e,
-                        None => {
-                            exhausted = true;
-                            break;
-                        }
-                    },
-                };
-                if sim.try_dispatch(&entry) {
-                    mid.dispatched += 1;
-                } else {
-                    pending = Some(entry);
-                    break;
-                }
-            }
-            if exhausted && !final_segment {
-                // The segment's span is spent: stop mid-cycle and hand the
-                // machine to the next shard, which resumes inside this
-                // very cycle with the next span's entries.
-                debug_assert!(pending.is_none(), "a dry source cannot leave an entry");
-                let state = sim.export_state(&mid);
-                let mut stats = sim.stats_view();
-                stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
-                return Ok(SegmentRun {
-                    stats,
-                    state: Some(state),
-                    probe: sim.probe,
-                });
-            }
-            let obs = if P::ENABLED {
-                let (dcache_claims, lvc_claims) = sim.mem.claims_this_cycle();
-                let o = CycleObs {
-                    rob_occupancy: sim.rob.len,
-                    issued: mid.issued,
-                    committed: mid.committed,
-                    lsq_depth: sim.lsq_count,
-                    lvaq_depth: sim.lvaq_count,
-                    dcache_claims,
-                    lvc_claims,
-                    stall: mid.stall,
-                };
-                sim.probe.record(&o);
-                Some(o)
-            } else {
-                None
-            };
-            if exhausted && pending.is_none() && sim.rob.len == 0 && sim.write_buffer.is_empty() {
-                break;
-            }
-            // Event core: this cycle changed nothing (and the replays of
-            // it during the span cannot either), so jump to the eve of the
-            // next scheduled wake-up, replaying the span's constant
-            // per-cycle effects in bulk.
-            if mid.committed == 0
-                && mid.issued == 0
-                && mid.dispatched == 0
-                && !mid.mem_active
-                && sim.arpt_faults.is_empty()
-            {
-                let rob_stall = sim.stats.rob_stall_cycles - mid.rob_stalls_before;
-                let queue_stall = sim.stats.queue_stall_cycles - mid.queue_stalls_before;
-                sim.fast_forward_idle(rob_stall, queue_stall, obs.as_ref());
-            }
-            debug_assert!(
-                sim.cycle < 100 * sim.stats.instructions.max(1_000_000),
-                "timing simulation is not making progress"
-            );
-        }
-        let (mut stats, probe) = sim.finish();
+        run.feed(source)?;
+        let (mut stats, state, probe) = if final_segment {
+            let (stats, probe) = run.finish();
+            (stats, None, probe)
+        } else {
+            // The segment's span is spent: hand the machine, stopped
+            // mid-cycle, to the next shard.
+            let (state, stats, probe) = run.suspend();
+            (stats, Some(state), probe)
+        };
         stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
         Ok(SegmentRun {
             stats,
-            state: None,
+            state,
             probe,
         })
     }
@@ -882,7 +851,7 @@ impl<P: Probe> TimingSim<P> {
         stats
     }
 
-    fn finish(self) -> (SimStats, P) {
+    pub(crate) fn finish(self) -> (SimStats, P) {
         (self.stats_view(), self.probe)
     }
 
@@ -890,12 +859,12 @@ impl<P: Probe> TimingSim<P> {
 
     /// Serializes the complete machine state at a mid-cycle segment
     /// boundary into a sealed blob (see `crate::state` for the framing).
-    /// Everything a resumed [`TimingSim::run_segment_probed`] loop can
+    /// Everything a resumed [`TimingRun`] loop can
     /// observe is captured: the ROB (every SoA column), renamer, ordering
     /// queues, write buffer, predictors, memory system, event wheel, the
     /// appointment-book bookings (via each slot's `issue_q`/`mem_q` key),
     /// and the [`MidCycle`] locals of the cut cycle itself.
-    fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
+    pub(crate) fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.bytes(&STATE_MAGIC);
         w.u8(STATE_VERSION);
@@ -983,7 +952,7 @@ impl<P: Probe> TimingSim<P> {
     /// geometry, fault plan) or any internally inconsistent field (stale
     /// appointment, sequence-count mismatch, trailing bytes) is a
     /// [`SourceError::Corrupt`].
-    fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
+    pub(crate) fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
         let mut r = StateReader::open(blob)?;
         if r.bytes(4)? != STATE_MAGIC {
             return Err(corrupt("bad magic"));
@@ -1344,7 +1313,6 @@ impl<P: Probe> TimingSim<P> {
         // lookup counted, so the prediction stream is bit-identical.
         let hints = &entry.model;
         let mut route = Route::DataCache;
-        let mut predicted_stack = false;
         let mut arpt_predicted = false;
         let mut arpt_key = 0u64;
         let is_mem = entry.mem.is_some();
@@ -1362,7 +1330,7 @@ impl<P: Probe> TimingSim<P> {
                     };
                     static_hint(&info)
                 };
-                predicted_stack = match hint {
+                let predicted_stack = match hint {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
@@ -1580,7 +1548,6 @@ impl<P: Probe> TimingSim<P> {
         } else {
             self.rob.slot[i].issue_q = QUEUE_NONE; // parked until the last wake
         }
-        let _ = predicted_stack;
         true
     }
 

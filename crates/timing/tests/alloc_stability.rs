@@ -18,8 +18,8 @@ use std::cell::Cell;
 
 use arl_asm::{Program, ProgramBuilder, Provenance};
 use arl_isa::Gpr;
-use arl_sim::{Machine, TraceEntry, TraceSource};
-use arl_timing::{CoreMode, MachineConfig, TimingSim};
+use arl_sim::{EntrySliceSource, Machine, TraceEntry, TraceSource};
+use arl_timing::{CoreMode, MachineConfig, NullProbe, TimingRun, TimingSim};
 
 struct CountingAlloc;
 
@@ -160,4 +160,64 @@ fn legacy_hot_loop_allocations_do_not_scale_with_trace_length() {
         "legacy: replaying 4x the instructions cost {a_long} allocations \
          vs {a_short} — the memory-stage scratch hoist regressed"
     );
+}
+
+/// Allocations performed while replaying `entries` through one fresh
+/// [`TimingRun`] per config in lock-step: every chunk is copied once into
+/// a reused buffer (standing in for the decoder) and fed to each run.
+/// The chunk is small so the 4x-longer trace takes ~100 more rounds: an
+/// allocation per round or per `feed` then overshoots the bound.
+fn allocs_for_fanned(entries: &[TraceEntry], configs: &[MachineConfig]) -> u64 {
+    const CHUNK: usize = 256;
+    let before = allocations();
+    let mut runs: Vec<TimingRun> = configs
+        .iter()
+        .map(|config| TimingRun::new(config, NullProbe))
+        .collect();
+    let mut chunk: Vec<TraceEntry> = Vec::with_capacity(CHUNK);
+    for window in entries.chunks(CHUNK) {
+        chunk.clear();
+        chunk.extend_from_slice(window);
+        for run in &mut runs {
+            run.feed(&mut EntrySliceSource::new(&chunk)).unwrap();
+        }
+    }
+    for run in runs {
+        let (stats, _) = run.finish();
+        assert_eq!(stats.instructions, entries.len() as u64);
+    }
+    allocations() - before
+}
+
+/// A lock-step fan-out over several configs keeps the same stability on
+/// both cores: the chunk buffer and every run's machine are reused across
+/// chunks, so 4x the instructions may add only bounded scratch growths.
+#[test]
+fn fanned_runs_allocations_do_not_scale_with_trace_length() {
+    let short = collect_entries(&looped_program(1_000));
+    let long = collect_entries(&looped_program(4_000));
+    assert!(long.len() > 3 * short.len());
+
+    for core in [CoreMode::Event, CoreMode::Legacy] {
+        let configs: Vec<MachineConfig> = [
+            MachineConfig::decoupled(2, 2),
+            MachineConfig::conventional(2, 2),
+            MachineConfig::decoupled(3, 3),
+        ]
+        .into_iter()
+        .map(|mut config| {
+            config.core = core;
+            config
+        })
+        .collect();
+        let _ = allocs_for_fanned(&short, &configs);
+        let a_short = allocs_for_fanned(&short, &configs);
+        let a_long = allocs_for_fanned(&long, &configs);
+        assert!(
+            a_long <= a_short + 64,
+            "{core:?}: fanning 4x the instructions over {} configs cost {a_long} \
+             allocations vs {a_short} — the lock-step loop is allocating per chunk",
+            configs.len()
+        );
+    }
 }

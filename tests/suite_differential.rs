@@ -19,12 +19,13 @@ use arl::core::{Capacity, Context, EvalConfig, Evaluator, HintTable, PredictorKi
 use arl::sim::{
     functional_instructions_executed, Machine, RegionProfiler, TraceEntry, TraceSource,
 };
-use arl::timing::{MachineConfig, TimingSim};
+use arl::timing::{CoreMode, MachineConfig, SimStats, TimingSim};
 use arl::trace::{capture, capture_compiled, capture_with, Replayer};
 use arl::workloads::{suite, Scale};
 use arl_bench::{
     ablation_twobit_schemes, evaluate_trace, evaluate_trace_schemes, figure5_schemes,
-    table3_schemes, ExperimentOptions, ExperimentRun, TraceMode,
+    table3_schemes, timing_trace_fanned, timing_trace_fanned_probed_chunked, timing_trace_probed,
+    ExperimentOptions, ExperimentRun, TraceMode,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -148,6 +149,98 @@ fn fanned_out_scheme_evaluation_matches_separate_replays() {
     }
 }
 
+/// Bounds that hold for any correct machine model, whatever produced the
+/// numbers: a recovery repairs one detected misprediction, a misprediction
+/// is found by one region check, and the LVAQ carries a subset of the
+/// references.
+fn assert_stats_bounds(stats: &SimStats, cell: &str) {
+    assert!(
+        stats.recoveries <= stats.region_mispredicts,
+        "{cell}: {} recoveries for {} mispredictions",
+        stats.recoveries,
+        stats.region_mispredicts
+    );
+    assert!(
+        stats.region_mispredicts <= stats.region_checks,
+        "{cell}: {} mispredictions from {} checks",
+        stats.region_mispredicts,
+        stats.region_checks
+    );
+    assert!(
+        stats.lvaq_refs <= stats.mem_refs,
+        "{cell}: {} LVAQ references of {} in total",
+        stats.lvaq_refs,
+        stats.mem_refs
+    );
+}
+
+/// The timing experiments' fan-out: one lock-step replay over a plain
+/// capture feeding every Figure 8 config must equal one separate replay
+/// per config over a compiled capture — stats and probe output, on both
+/// cores, whether the runs are cut at every entry, at odd offsets, or at
+/// the production chunk size.
+#[test]
+fn fanned_out_timing_matches_separate_replays() {
+    let _guard = lock();
+    let specs = suite();
+    // Two workers over the programs; each program is checked whole.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let program = spec.build(Scale::tiny());
+                let plain = capture(&program, CAP).expect("plain capture");
+                let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
+                for core in [CoreMode::Event, CoreMode::Legacy] {
+                    let configs: Vec<MachineConfig> = MachineConfig::figure8_suite()
+                        .into_iter()
+                        .map(|mut c| {
+                            c.core = core;
+                            c
+                        })
+                        .collect();
+                    let separate: Vec<(SimStats, String)> = configs
+                        .iter()
+                        .map(|c| {
+                            let (stats, rec) =
+                                timing_trace_probed(&program, &compiled, spec.name, c);
+                            (stats, rec.to_json().render())
+                        })
+                        .collect();
+                    for chunk in [1, 7, 4096] {
+                        let probed = timing_trace_fanned_probed_chunked(
+                            &program, &plain, spec.name, &configs, chunk,
+                        );
+                        assert_eq!(probed.len(), configs.len());
+                        for (ci, (stats, json)) in separate.iter().enumerate() {
+                            let cell = format!(
+                                "{}/{}/{core:?}/chunk {chunk}",
+                                spec.name, configs[ci].name
+                            );
+                            assert_eq!(&probed[ci].stats, stats, "{cell}: probed stats");
+                            assert_eq!(
+                                &probed[ci].probe.to_json().render(),
+                                json,
+                                "{cell}: probe output"
+                            );
+                            assert_stats_bounds(&probed[ci].stats, &cell);
+                        }
+                    }
+                    // The unprobed build of the run loop, at the chunk size
+                    // the experiments use.
+                    let unprobed = timing_trace_fanned(&program, &plain, spec.name, &configs);
+                    for (ci, (stats, _)) in separate.iter().enumerate() {
+                        let cell = format!("{}/{}/{core:?}", spec.name, configs[ci].name);
+                        assert_eq!(&unprobed[ci].stats, stats, "{cell}: unprobed stats");
+                    }
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn replayed_timing_stats_are_bit_identical_for_every_workload() {
     let _guard = lock();
@@ -165,8 +258,9 @@ fn replayed_timing_stats_are_bit_identical_for_every_workload() {
     }
 }
 
-/// Replay-mode experiments must execute each workload functionally
-/// exactly once, regardless of how many configs the sweep fans out to.
+/// Replay-mode experiments — prediction and timing sweeps alike — must
+/// execute each workload functionally exactly once, regardless of how
+/// many configs the sweep fans out to.
 #[test]
 fn replay_mode_experiments_execute_each_workload_exactly_once() {
     let _guard = lock();
@@ -176,9 +270,9 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
     // Returns the experiment's run and its captured instruction total,
     // after checking that the functional-instruction counter moved by
     // exactly that total: one capture pass per workload, nothing more.
-    let run_once = |name: &str, f: Experiment| {
+    let run_once = |name: &str, f: Experiment, opts: &ExperimentOptions| {
         let before = functional_instructions_executed();
-        let run = f(&opts);
+        let run = f(opts);
         let executed = functional_instructions_executed() - before;
         let captures: Vec<_> = run
             .report
@@ -199,14 +293,21 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
         );
         (run, captured_insts)
     };
-    for (name, f) in [
-        ("table3", arl_bench::table3 as Experiment),
-        ("ablation_twobit", arl_bench::ablation_twobit),
-        ("figure5", arl_bench::figure5),
+    // Prediction sweeps fan schemes out of one pass; timing sweeps feed
+    // every machine config from one lock-step pass, probed or not.
+    let probed = opts.with_probe(true);
+    for (name, f, opts) in [
+        ("table3", arl_bench::table3 as Experiment, &opts),
+        ("ablation_twobit", arl_bench::ablation_twobit, &opts),
+        ("figure5", arl_bench::figure5, &opts),
+        ("figure8", arl_bench::figure8, &opts),
+        ("ablation_lvc", arl_bench::ablation_lvc, &opts),
+        ("figure8_stalls", arl_bench::figure8_stalls, &probed),
     ] {
-        run_once(name, f);
+        let (run, _) = run_once(name, f, opts);
+        assert_eq!(run.probe.is_some(), opts.probe, "{name}: probe document");
     }
-    let (run, captured_insts) = run_once("figure4", arl_bench::figure4);
+    let (run, captured_insts) = run_once("figure4", arl_bench::figure4, &opts);
 
     // The live-mode control: the same sweep re-executes per cell, so it
     // burns one functional pass per scheme.
