@@ -99,12 +99,15 @@ grep -q '"identical":true' "$smoke_dir/BENCH_shard.json"
 echo "==> memory-backend smoke gate (all backends, stall conservation)"
 # Tiny-scale sweep of every backend on both machines with the probe
 # attached: every cell must satisfy useful + Σstalls == cycles (the
-# binary exits non-zero and records conserved:false on any violation).
+# binary exits non-zero and records conserved:false on any violation),
+# and every one of the 3 workloads x 5 backends x 2 machines = 30 cells
+# must be present, so an empty or short rows array fails too.
 ARL_SCALE=tiny ARL_JSON="$smoke_dir" \
     cargo run --quiet --release -p arl-bench --bin bench_backends
 test -s "$smoke_dir/BENCH_backends.json"
 grep -q '"schema":"arl-backends/v1"' "$smoke_dir/BENCH_backends.json"
 ! grep -q '"conserved":false' "$smoke_dir/BENCH_backends.json"
+test "$(grep -o '"conserved":true' "$smoke_dir/BENCH_backends.json" | wc -l)" -eq 30
 
 echo "==> replay-speed regression gate (subset vs committed BENCH_speed.json)"
 # Re-time a fixed three-workload subset across the full lever matrix

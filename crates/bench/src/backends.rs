@@ -9,6 +9,14 @@
 //! `(2+0)` machine and the decoupled `(3+3)` machine, always probed, and
 //! emits `BENCH_backends.json` (schema [`BACKENDS_SCHEMA`]) with full
 //! stall attribution per row plus a per-backend split-port speedup table.
+//!
+//! Each workload is executed once, as a plain capture. The sweep then runs
+//! one pool job per (workload × machine): the job decodes its trace once
+//! and feeds that machine on all five backends in lock-step
+//! ([`timing_trace_fanned_probed`]), each backend with its own
+//! [`Recorder`]. Every cell equals a separate probed replay of its config,
+//! and the cells are reassembled by position in (workload, backend,
+//! machine) order.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -18,7 +26,7 @@ use arl_timing::{BackendConfig, CacheStats, MachineConfig, Recorder, SimStats, S
 use arl_workloads::workload;
 
 use crate::runner::{scale_label, write_named_json, Pool};
-use crate::{capture_trace, timing_trace_probed, ExperimentOptions};
+use crate::{capture_plain_trace_with, timing_trace_fanned_probed, ExperimentOptions};
 
 /// `BENCH_backends.json` schema identifier.
 pub const BACKENDS_SCHEMA: &str = "arl-backends/v1";
@@ -28,13 +36,22 @@ pub const BACKENDS_SCHEMA: &str = "arl-backends/v1";
 /// (`compress`), and the floating-point array walker (`tomcatv`).
 const WORKLOADS: [&str; 3] = ["compress", "go", "tomcatv"];
 
+/// Number of machines in the sweep.
+const MACHINES: usize = 2;
+
 /// The two machines the paper compares: conventional 2-port and the
 /// decoupled split-port design.
-fn machines() -> [MachineConfig; 2] {
+fn machines() -> [MachineConfig; MACHINES] {
     [
         MachineConfig::baseline_2_0(),
         MachineConfig::decoupled(3, 3),
     ]
+}
+
+/// Position of the (workload, backend, machine) cell in the sweep's
+/// row order: workloads outermost, machines innermost.
+fn cell_index(workload: usize, backend: usize, machine: usize) -> usize {
+    (workload * BackendConfig::ALL.len() + backend) * MACHINES + machine
 }
 
 /// A finished backend sweep: rendered text, the JSON document, and
@@ -50,7 +67,7 @@ pub struct BackendsBenchRun {
 }
 
 struct Cell {
-    workload: String,
+    workload: &'static str,
     backend: BackendConfig,
     config: String,
     stats: SimStats,
@@ -72,7 +89,7 @@ fn cell_json(cell: &Cell) -> Json {
         .map(|&cause| (cause.label(), Json::from(cell.recorder.stall_cycles(cause))))
         .collect::<Vec<_>>();
     Json::obj([
-        ("workload", Json::from(cell.workload.as_str())),
+        ("workload", Json::from(cell.workload)),
         ("backend", Json::from(cell.backend.label())),
         ("config", Json::from(cell.config.as_str())),
         ("cycles", Json::from(cell.stats.cycles)),
@@ -112,49 +129,63 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
     let start = Instant::now();
     let pool = Pool::new(opts.threads);
 
-    // One functional execution per workload; every cell replays it.
+    // One functional execution per workload, as a plain capture: the
+    // timing fan-out computes its model facts itself.
     let captured = pool.map(WORKLOADS.to_vec(), |_i, name| {
         let spec =
             workload(name).unwrap_or_else(|| panic!("backend sweep workload {name} missing"));
         let program = spec.build(opts.scale);
-        let trace = capture_trace(&program, name);
+        let trace = capture_plain_trace_with(&program, name, 0, |_| {});
         (name, program, trace)
     });
 
-    let mut jobs = Vec::new();
-    for wi in 0..captured.len() {
-        for backend in BackendConfig::ALL {
-            for machine in machines() {
-                jobs.push((wi, backend, machine));
-            }
+    // One job per (workload × machine): a single decode of the trace
+    // feeds that machine on every backend in lock-step, each with its own
+    // recorder. Jobs run in workload order, so compress, the longest
+    // program, starts first.
+    let jobs: Vec<(usize, usize)> = (0..WORKLOADS.len())
+        .flat_map(|wi| (0..MACHINES).map(move |mi| (wi, mi)))
+        .collect();
+    let fanned = pool.map(jobs.clone(), |_i, (wi, mi)| {
+        let (name, program, trace) = &captured[wi];
+        let machine = &machines()[mi];
+        let configs: Vec<MachineConfig> = BackendConfig::ALL
+            .iter()
+            .map(|&backend| machine.clone().with_backend(backend))
+            .collect();
+        timing_trace_fanned_probed(program, trace, name, &configs)
+    });
+    drop(captured);
+
+    // Put every result at its (workload, backend, machine) position; a
+    // hole panics rather than rendering as a zero-cycle cell.
+    let names = machines().map(|m| m.name);
+    let mut slots: Vec<Option<Cell>> = std::iter::repeat_with(|| None)
+        .take(WORKLOADS.len() * BackendConfig::ALL.len() * MACHINES)
+        .collect();
+    for ((wi, mi), results) in jobs.into_iter().zip(fanned) {
+        for (bi, result) in results.into_iter().enumerate() {
+            let (stats, recorder) = (result.stats, result.probe);
+            let conserved = recorder.cycles() == stats.cycles
+                && recorder.useful_cycles() + recorder.total_stall_cycles() == stats.cycles;
+            slots[cell_index(wi, bi, mi)] = Some(Cell {
+                workload: WORKLOADS[wi],
+                backend: BackendConfig::ALL[bi],
+                config: names[mi].clone(),
+                stats,
+                recorder,
+                conserved,
+            });
         }
     }
-    let cells = pool.map(jobs, |_i, (wi, backend, machine)| {
-        let (name, program, trace) = &captured[wi];
-        let base_name = machine.name.clone();
-        let config = machine.with_backend(backend);
-        let (stats, recorder) = timing_trace_probed(program, trace, name, &config);
-        let conserved = recorder.cycles() == stats.cycles
-            && recorder.useful_cycles() + recorder.total_stall_cycles() == stats.cycles;
-        Cell {
-            workload: name.to_string(),
-            backend,
-            config: base_name,
-            stats,
-            recorder,
-            conserved,
-        }
-    });
+    let cells: Vec<Cell> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.unwrap_or_else(|| panic!("backend sweep cell {i} missing")))
+        .collect();
 
     let failed = cells.iter().any(|c| !c.conserved);
-    let cycles_of = |workload: &str, backend: BackendConfig, config: &str| -> u64 {
-        cells
-            .iter()
-            .find(|c| c.workload == workload && c.backend == backend && c.config == config)
-            .map(|c| c.stats.cycles)
-            .unwrap_or(0)
-    };
-    let [base_name, split_name] = machines().map(|m| m.name);
+    let [base_name, split_name] = &names;
 
     // Per-backend split-port speedup: how much the (3+3) machine still
     // buys over (2+0) once the backend absorbs part of the miss cost.
@@ -165,13 +196,13 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
         header.push("geomean".to_string());
         TableBuilder::new(&header.iter().map(String::as_str).collect::<Vec<_>>())
     };
-    for backend in BackendConfig::ALL {
+    for (bi, backend) in BackendConfig::ALL.into_iter().enumerate() {
         let mut row = vec![backend.label().to_string()];
         let mut pairs = vec![("backend".to_string(), Json::from(backend.label()))];
         let mut log_sum = 0.0;
-        for name in WORKLOADS {
-            let base = cycles_of(name, backend, &base_name);
-            let split = cycles_of(name, backend, &split_name);
+        for (wi, name) in WORKLOADS.into_iter().enumerate() {
+            let base = cells[cell_index(wi, bi, 0)].stats.cycles;
+            let split = cells[cell_index(wi, bi, 1)].stats.cycles;
             let speedup = if split == 0 {
                 0.0
             } else {

@@ -19,7 +19,9 @@ use std::cell::Cell;
 use arl_asm::{Program, ProgramBuilder, Provenance};
 use arl_isa::Gpr;
 use arl_sim::{EntrySliceSource, Machine, TraceEntry, TraceSource};
-use arl_timing::{CoreMode, MachineConfig, NullProbe, TimingRun, TimingSim};
+use arl_timing::{
+    BackendConfig, CoreMode, MachineConfig, NullProbe, Probe, Recorder, TimingRun, TimingSim,
+};
 
 struct CountingAlloc;
 
@@ -163,16 +165,21 @@ fn legacy_hot_loop_allocations_do_not_scale_with_trace_length() {
 }
 
 /// Allocations performed while replaying `entries` through one fresh
-/// [`TimingRun`] per config in lock-step: every chunk is copied once into
-/// a reused buffer (standing in for the decoder) and fed to each run.
-/// The chunk is small so the 4x-longer trace takes ~100 more rounds: an
-/// allocation per round or per `feed` then overshoots the bound.
-fn allocs_for_fanned(entries: &[TraceEntry], configs: &[MachineConfig]) -> u64 {
+/// [`TimingRun`] per config in lock-step, each watched by its own
+/// `probe()`: every chunk is copied once into a reused buffer (standing
+/// in for the decoder) and fed to each run. The chunk is small so the
+/// 4x-longer trace takes ~100 more rounds: an allocation per round or per
+/// `feed` then overshoots the bound.
+fn allocs_for_fanned<P: Probe>(
+    entries: &[TraceEntry],
+    configs: &[MachineConfig],
+    probe: fn() -> P,
+) -> u64 {
     const CHUNK: usize = 256;
     let before = allocations();
-    let mut runs: Vec<TimingRun> = configs
+    let mut runs: Vec<TimingRun<P>> = configs
         .iter()
-        .map(|config| TimingRun::new(config, NullProbe))
+        .map(|config| TimingRun::new(config, probe()))
         .collect();
     let mut chunk: Vec<TraceEntry> = Vec::with_capacity(CHUNK);
     for window in entries.chunks(CHUNK) {
@@ -210,13 +217,43 @@ fn fanned_runs_allocations_do_not_scale_with_trace_length() {
             config
         })
         .collect();
-        let _ = allocs_for_fanned(&short, &configs);
-        let a_short = allocs_for_fanned(&short, &configs);
-        let a_long = allocs_for_fanned(&long, &configs);
+        let _ = allocs_for_fanned(&short, &configs, || NullProbe);
+        let a_short = allocs_for_fanned(&short, &configs, || NullProbe);
+        let a_long = allocs_for_fanned(&long, &configs, || NullProbe);
         assert!(
             a_long <= a_short + 64,
             "{core:?}: fanning 4x the instructions over {} configs cost {a_long} \
              allocations vs {a_short} — the lock-step loop is allocating per chunk",
+            configs.len()
+        );
+    }
+}
+
+/// The backend sweep's shape keeps the same stability: the (3+3) machine
+/// fanned over every memory backend, each run with its own `Recorder`, so
+/// neither the backends' device state nor the probe's accounting may
+/// allocate per chunk or per cycle.
+#[test]
+fn probed_backend_fanned_runs_allocations_do_not_scale_with_trace_length() {
+    let short = collect_entries(&looped_program(1_000));
+    let long = collect_entries(&looped_program(4_000));
+    assert!(long.len() > 3 * short.len());
+
+    for core in [CoreMode::Event, CoreMode::Legacy] {
+        let mut machine = MachineConfig::decoupled(3, 3);
+        machine.core = core;
+        let configs: Vec<MachineConfig> = BackendConfig::ALL
+            .iter()
+            .map(|&backend| machine.clone().with_backend(backend))
+            .collect();
+        let _ = allocs_for_fanned(&short, &configs, Recorder::new);
+        let a_short = allocs_for_fanned(&short, &configs, Recorder::new);
+        let a_long = allocs_for_fanned(&long, &configs, Recorder::new);
+        assert!(
+            a_long <= a_short + 64,
+            "{core:?}: fanning 4x the instructions over {} probed backends cost \
+             {a_long} allocations vs {a_short} — a backend or the probe is \
+             allocating per chunk",
             configs.len()
         );
     }

@@ -19,13 +19,14 @@ use arl::core::{Capacity, Context, EvalConfig, Evaluator, HintTable, PredictorKi
 use arl::sim::{
     functional_instructions_executed, Machine, RegionProfiler, TraceEntry, TraceSource,
 };
-use arl::timing::{CoreMode, MachineConfig, SimStats, TimingSim};
+use arl::stats::Json;
+use arl::timing::{BackendConfig, CoreMode, MachineConfig, SimStats, TimingSim};
 use arl::trace::{capture, capture_compiled, capture_with, Replayer};
-use arl::workloads::{suite, Scale};
+use arl::workloads::{suite, workload, Scale};
 use arl_bench::{
-    ablation_twobit_schemes, evaluate_trace, evaluate_trace_schemes, figure5_schemes,
-    table3_schemes, timing_trace_fanned, timing_trace_fanned_probed_chunked, timing_trace_probed,
-    ExperimentOptions, ExperimentRun, TraceMode,
+    ablation_twobit_schemes, backends_bench, evaluate_trace, evaluate_trace_schemes,
+    figure5_schemes, table3_schemes, timing_trace_fanned, timing_trace_fanned_probed_chunked,
+    timing_trace_probed, ExperimentOptions, ExperimentRun, FannedTiming, TraceMode,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -241,6 +242,80 @@ fn fanned_out_timing_matches_separate_replays() {
     });
 }
 
+/// The backend sweep's fan-out: one lock-step replay over a plain capture
+/// feeding a machine on every memory backend must equal one separate
+/// probed replay per backend over a compiled capture — stats and probe
+/// output, on both cores, at every cut — and every cell must keep the
+/// implementation-independent bounds, stall conservation included. The
+/// stats include the stacked and burst device counters, and a chunk of 1
+/// cuts the runs between every pair of entries, so device state lost
+/// across a `feed` boundary shows here.
+#[test]
+fn fanned_backends_match_separate_replays() {
+    let _guard = lock();
+    let mut jobs = Vec::new();
+    for name in ["compress", "go", "tomcatv"] {
+        for core in [CoreMode::Event, CoreMode::Legacy] {
+            jobs.push((name, core));
+        }
+    }
+    // Two workers over the (program, core) pairs; each pair is checked
+    // whole.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(&(name, core)) = jobs.get(i) else {
+                    break;
+                };
+                let program = workload(name).expect("sweep program").build(Scale::tiny());
+                let plain = capture(&program, CAP).expect("plain capture");
+                let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
+                for mut machine in [
+                    MachineConfig::baseline_2_0(),
+                    MachineConfig::decoupled(3, 3),
+                ] {
+                    machine.core = core;
+                    let configs: Vec<MachineConfig> = BackendConfig::ALL
+                        .iter()
+                        .map(|&backend| machine.clone().with_backend(backend))
+                        .collect();
+                    let separate: Vec<(SimStats, String)> = configs
+                        .iter()
+                        .map(|c| {
+                            let (stats, rec) = timing_trace_probed(&program, &compiled, name, c);
+                            (stats, rec.to_json().render())
+                        })
+                        .collect();
+                    for chunk in [1, 7, 4096] {
+                        let fanned = timing_trace_fanned_probed_chunked(
+                            &program, &plain, name, &configs, chunk,
+                        );
+                        assert_eq!(fanned.len(), configs.len());
+                        for (ci, (stats, json)) in separate.iter().enumerate() {
+                            let cell =
+                                format!("{name}/{}/{core:?}/chunk {chunk}", configs[ci].name);
+                            let FannedTiming {
+                                stats: got, probe, ..
+                            } = &fanned[ci];
+                            assert_eq!(got, stats, "{cell}: stats");
+                            assert_eq!(&probe.to_json().render(), json, "{cell}: probe output");
+                            assert_stats_bounds(got, &cell);
+                            assert_eq!(probe.cycles(), got.cycles, "{cell}: probed cycles");
+                            assert_eq!(
+                                probe.useful_cycles() + probe.total_stall_cycles(),
+                                got.cycles,
+                                "{cell}: useful + stalls"
+                            );
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn replayed_timing_stats_are_bit_identical_for_every_workload() {
     let _guard = lock();
@@ -308,6 +383,38 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
         assert_eq!(run.probe.is_some(), opts.probe, "{name}: probe document");
     }
     let (run, captured_insts) = run_once("figure4", arl_bench::figure4, &opts);
+
+    // The backend sweep records no captures: its rows carry each
+    // workload's instruction count once per (backend, machine) cell.
+    let before = functional_instructions_executed();
+    let backends = backends_bench(&opts);
+    let executed = functional_instructions_executed() - before;
+    let mut per_workload: Vec<(String, u64)> = Vec::new();
+    for row in backends
+        .doc
+        .get("rows")
+        .and_then(Json::as_array)
+        .expect("rows")
+    {
+        let name = row
+            .get("workload")
+            .and_then(Json::as_str)
+            .expect("workload");
+        let insts = row
+            .get("instructions")
+            .and_then(Json::as_u64)
+            .expect("instructions");
+        match per_workload.iter().find(|(w, _)| w == name) {
+            Some(&(_, seen)) => assert_eq!(seen, insts, "{name}: instructions per row"),
+            None => per_workload.push((name.to_string(), insts)),
+        }
+    }
+    assert_eq!(per_workload.len(), 3, "backends_bench: sweep workloads");
+    assert_eq!(
+        executed,
+        per_workload.iter().map(|(_, insts)| insts).sum::<u64>(),
+        "backends_bench must execute each sweep workload exactly once"
+    );
 
     // The live-mode control: the same sweep re-executes per cell, so it
     // burns one functional pass per scheme.
