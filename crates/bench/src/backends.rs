@@ -26,7 +26,7 @@ use arl_timing::{BackendConfig, CacheStats, MachineConfig, Recorder, SimStats, S
 use arl_workloads::workload;
 
 use crate::runner::{scale_label, write_named_json, Pool};
-use crate::{capture_plain_trace_with, timing_trace_fanned_probed, ExperimentOptions};
+use crate::{capture_trace, timing_trace_fanned_probed, ExperimentOptions};
 
 /// `BENCH_backends.json` schema identifier.
 pub const BACKENDS_SCHEMA: &str = "arl-backends/v1";
@@ -129,13 +129,12 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
     let start = Instant::now();
     let pool = Pool::new(opts.threads);
 
-    // One functional execution per workload, as a plain capture: the
-    // timing fan-out computes its model facts itself.
+    // One functional execution per workload.
     let captured = pool.map(WORKLOADS.to_vec(), |_i, name| {
         let spec =
             workload(name).unwrap_or_else(|| panic!("backend sweep workload {name} missing"));
         let program = spec.build(opts.scale);
-        let trace = capture_plain_trace_with(&program, name, 0, |_| {});
+        let trace = capture_trace(&program, name);
         (name, program, trace)
     });
 

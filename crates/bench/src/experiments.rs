@@ -27,9 +27,9 @@ use crate::runner::{
     PROBE_SCHEMA,
 };
 use crate::{
-    capture_plain_trace_with, evaluate_program, evaluate_trace_schemes, fmt_millions, fmt_pct,
-    profile_workload, scale_from_env, timing_trace_fanned, timing_trace_fanned_probed, EvalReport,
-    FannedTiming, ProfileReport,
+    capture_trace_snapshotted, capture_trace_with, evaluate_program, evaluate_trace_schemes,
+    fmt_millions, fmt_pct, profile_workload, scale_from_env, timing_trace_fanned,
+    timing_trace_fanned_probed, EvalReport, FannedTiming, ProfileReport,
 };
 
 /// How experiments obtain each workload's dynamic instruction stream.
@@ -364,7 +364,7 @@ fn capture_program(
     timed_record(spec.name, "capture", |record| {
         record.phase = "capture".into();
         let program = spec.build(opts.scale);
-        let trace = capture_plain_trace_with(&program, spec.name, interval, |_| {});
+        let trace = capture_trace_snapshotted(&program, spec.name, interval);
         record.instructions = trace.metrics().instructions;
         record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
         (program, trace)
@@ -982,8 +982,7 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
                 let mut profiler = RegionProfiler::new();
                 let (trace, capture) = timed_record(spec.name, "capture", |record| {
                     record.phase = "capture".into();
-                    let trace =
-                        capture_plain_trace_with(&program, spec.name, 0, |e| profiler.observe(e));
+                    let trace = capture_trace_with(&program, spec.name, 0, |e| profiler.observe(e));
                     record.instructions = trace.metrics().instructions;
                     record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
                     trace

@@ -54,10 +54,7 @@ pub use backends::{backends_bench, run_backends_main, BackendsBenchRun, BACKENDS
 
 pub use chaos::{chaos_campaign, run_chaos_main, ChaosOptions, ChaosRun, CHAOS_SCHEMA};
 
-pub use knob::{
-    backend_from_env, backend_from_value, compiled_capture_from_env, compiled_capture_from_value,
-    knob_bool, knob_f64, knob_parsed, knob_u64,
-};
+pub use knob::{backend_from_env, backend_from_value, knob_bool, knob_f64, knob_parsed, knob_u64};
 
 pub use shard::{
     replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_from_env,
@@ -93,8 +90,8 @@ use std::time::Instant;
 use arl_asm::Program;
 use arl_core::{EvalConfig, Evaluator, HintTable, PredictionStats};
 use arl_sim::{
-    EntrySliceSource, ExecError, Machine, Metrics, RegionBreakdown, RegionProfiler,
-    SlidingWindowProfiler, TraceEntry, TraceSource, WindowStats, WorkloadCharacter,
+    EntrySliceSource, Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler,
+    TraceEntry, TraceSource, WindowStats, WorkloadCharacter,
 };
 use arl_timing::{NullProbe, Probe, Recorder, TimingRun};
 use arl_trace::{Replayer, Trace};
@@ -215,60 +212,39 @@ pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> Ev
 
 /// Captures a workload's full dynamic trace (one functional execution).
 ///
-/// Unless `ARL_TRACE_COMPILED=0`, the capture also *compiles* the trace:
-/// per-instruction model facts are precomputed into a version-3 section
-/// so timing replays skip the recomputation (bit-identical results either
-/// way).
-///
 /// # Panics
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
 pub fn capture_trace(program: &Program, name: &str) -> Trace {
-    capture_trace_snapshotted(program, name, 0)
-}
-
-/// Captures a workload's plain (version-2) trace, with a snapshot record
-/// every `interval` retired instructions (0 disables snapshots), feeding
-/// every retired instruction to `visitor` so profilers ride along on the
-/// same pass. It has no compiled section, whatever `ARL_TRACE_COMPILED`
-/// says: every paper experiment replays this capture, and neither the
-/// [`Evaluator`] nor the timing fan-out needs the compiled section.
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
-pub(crate) fn capture_plain_trace_with<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    name: &str,
-    interval: u64,
-    visitor: F,
-) -> Trace {
-    checked_capture(
-        name,
-        arl_trace::capture_snapshotted_with(program, INST_CAP, interval, visitor),
-    )
+    capture_trace_with(program, name, 0, |_| {})
 }
 
 /// [`capture_trace`] with a snapshot record every `interval` retired
 /// instructions (0 disables snapshots), so the capture can be replayed in
-/// shard segments (`ARL_SHARD`; see [`replay_sharded`]). Honours
-/// `ARL_TRACE_COMPILED` like [`capture_trace`].
+/// shard segments (`ARL_SHARD`; see [`replay_sharded`]).
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
 pub fn capture_trace_snapshotted(program: &Program, name: &str, interval: u64) -> Trace {
-    let trace = if compiled_capture_from_env() {
-        arl_trace::capture_compiled(program, INST_CAP, interval)
-    } else {
-        arl_trace::capture_snapshotted(program, INST_CAP, interval)
-    };
-    checked_capture(name, trace)
+    capture_trace_with(program, name, interval, |_| {})
 }
 
-/// Unwraps a capture, panicking if the workload failed or hit the cap.
-fn checked_capture(name: &str, trace: Result<Trace, ExecError>) -> Trace {
-    let trace = trace.unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+/// [`capture_trace_snapshotted`] feeding every retired instruction to
+/// `visitor`, so profilers ride along on the same pass. Every capture in
+/// the harness goes through here.
+///
+/// # Panics
+///
+/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
+pub(crate) fn capture_trace_with<F: FnMut(&TraceEntry)>(
+    program: &Program,
+    name: &str,
+    interval: u64,
+    visitor: F,
+) -> Trace {
+    let trace = arl_trace::capture_snapshotted_with(program, INST_CAP, interval, visitor)
+        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
     assert!(
         trace.metrics().exited,
         "workload {name} exceeded the instruction cap"
@@ -377,8 +353,9 @@ pub fn timing_trace_probed(
 
 /// Entries decoded per lock-step round of [`timing_trace_fanned`]: every
 /// config's [`TimingRun`] consumes one chunk before the next is decoded.
-/// At 120 bytes an entry, 4096 entries make a 480 KB chunk, and the
-/// per-round call overhead is negligible.
+/// `size_of::<TraceEntry>()` is 96 bytes on 64-bit targets, so 4096
+/// entries make a 384 KiB chunk, and the per-round call overhead is
+/// negligible.
 const FAN_CHUNK: usize = 4096;
 
 /// One config's result from [`timing_trace_fanned`].

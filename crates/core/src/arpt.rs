@@ -94,9 +94,10 @@ impl Arpt {
 
     /// The table key for the instruction at `pc` under run-time context
     /// `(ghr, ra)`: the word-pc XOR the configured [`Context`] value. This is
-    /// the pure, capacity-independent part of the index computation, so it
-    /// can be precomputed once at trace-capture time and fed back through
-    /// [`Arpt::predict_counted_key`]/[`Arpt::update_key`] on every replay.
+    /// the pure, capacity-independent part of the index computation, so a
+    /// caller can compute it once at dispatch and feed it back through
+    /// [`Arpt::predict_counted_key`]/[`Arpt::update_key`] without carrying
+    /// `(pc, ghr, ra)` until the region is verified.
     pub fn key(&self, pc: u64, ghr: u64, ra: u64) -> u64 {
         (pc / INST_BYTES) ^ self.context.value(ghr, ra)
     }
@@ -151,8 +152,8 @@ impl Arpt {
     }
 
     /// Like [`Arpt::predict_counted`], but takes a key precomputed with
-    /// [`Arpt::key`] (e.g. out of a compiled trace) instead of rederiving it
-    /// from `(pc, ghr, ra)`. Counts the lookup identically.
+    /// [`Arpt::key`] instead of rederiving it from `(pc, ghr, ra)`. Counts
+    /// the lookup identically.
     pub fn predict_counted_key(&mut self, key: u64) -> bool {
         self.lookups += 1;
         self.predict_from(self.counter(self.fold(key)))
@@ -450,8 +451,8 @@ mod tests {
 
     #[test]
     fn keyed_api_matches_positional_api() {
-        // The compiled-trace fast path feeds precomputed keys back in; it
-        // must be indistinguishable from the positional API, counters
+        // The event core feeds dispatch-time keys back in at verification;
+        // that must be indistinguishable from the positional API, counters
         // included.
         let mut a = Arpt::new(
             CounterScheme::OneBit,

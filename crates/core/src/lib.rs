@@ -47,5 +47,5 @@ pub use context::Context;
 pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source};
 pub use heuristic::{static_hint, StaticHint};
 pub use hints::{classify_mem, HintTable, MemHint};
-pub use model::{classify_fu, fpr_dest_index, model_srcs, FuClass, NO_SRC};
+pub use model::{classify_fu, FuClass};
 pub use steer::QueueChoice;

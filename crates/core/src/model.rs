@@ -1,23 +1,14 @@
-//! Pure per-instruction model precomputation.
+//! The functional-unit table shared by both timing cores.
 //!
-//! Everything here is a pure function of the decoded instruction — the
-//! functional-unit class and latency, the renamer source operands, the
-//! floating-point destination. Both timing cores used to recompute these in
-//! their dispatch stages on every replay; factoring them out lets the
-//! compiled-trace capture path (`arl-trace`'s v3 `.arltrace` section)
-//! evaluate them **once** at capture time and ship the results alongside
-//! each event, so replay's hot loop skips the instruction decode entirely.
-//!
-//! The contract is exact equivalence: a timing core consuming precomputed
-//! hints must behave bit-identically to one calling these functions live,
-//! so the functions below replicate the dispatch-stage semantics (including
-//! the `$zero` filtering and the 3-operand cap) rather than idealizing them.
+//! [`classify_fu`] is a pure function of the decoded instruction; keeping
+//! it here gives the event core and the legacy reference one definition
+//! that cannot drift.
 
-use arl_isa::{AluOp, FAluOp, Fpr, Gpr, Inst};
+use arl_isa::{AluOp, FAluOp, Inst};
 
 /// Functional-unit classes (Table 4: 16 int ALUs, 16 FP ALUs, 4 int
 /// mul/div, 4 FP mul/div). The discriminants are the serialization tags
-/// used by compiled traces and sharded-replay state blobs.
+/// used by sharded-replay state blobs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FuClass {
     IntAlu = 0,
@@ -65,70 +56,10 @@ pub fn classify_fu(inst: &Inst) -> (FuClass, u64) {
     }
 }
 
-/// Sentinel for "no register" in [`model_srcs`] and [`fpr_dest_index`].
-pub const NO_SRC: u8 = u8::MAX;
-
-/// The unified-register-file operands the dispatch stage resolves against
-/// the renamer: up to three *issue* source registers (indices 0–31 = GPR,
-/// 32–63 = FPR, [`NO_SRC`] = unused slot) plus the separately tracked
-/// store-*data* operand. Stores wait only on their address operands to
-/// issue — the data operand gates completion, not address generation — so
-/// `Store`/`FStore` split their sources exactly as the timing dispatch
-/// stage does: the base register (if not `$zero`) is the sole issue
-/// dependence and the stored value is the data dependence (`FStore` data is
-/// unconditional; the FP register file has no zero register).
-pub fn model_srcs(inst: &Inst) -> ([u8; 3], u8) {
-    let mut srcs = [NO_SRC; 3];
-    let mut data = NO_SRC;
-    match *inst {
-        Inst::Store { rs, base, .. } => {
-            if base != Gpr::ZERO {
-                srcs[0] = base.index() as u8;
-            }
-            if rs != Gpr::ZERO {
-                data = rs.index() as u8;
-            }
-        }
-        Inst::FStore { fs, base, .. } => {
-            if base != Gpr::ZERO {
-                srcs[0] = base.index() as u8;
-            }
-            data = 32 + fs.index() as u8;
-        }
-        _ => {
-            let mut n = 0;
-            let mut gprs = [Gpr::ZERO; 2];
-            let ng = inst.gpr_sources_into(&mut gprs);
-            for &r in &gprs[..ng] {
-                srcs[n] = r.index() as u8;
-                n += 1;
-            }
-            let mut fprs = [Fpr::new(0); 2];
-            let nf = inst.fpr_sources_into(&mut fprs);
-            for &r in &fprs[..nf] {
-                if n < 3 {
-                    srcs[n] = 32 + r.index() as u8;
-                    n += 1;
-                }
-            }
-        }
-    }
-    (srcs, data)
-}
-
-/// Unified-register-file index of the floating-point destination
-/// (`32 + fd`), or [`NO_SRC`] when the instruction writes no FPR.
-pub fn fpr_dest_index(inst: &Inst) -> u8 {
-    match inst.fpr_dest() {
-        Some(fd) => 32 + fd.index() as u8,
-        None => NO_SRC,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arl_isa::{BranchCond, FCmpOp, Syscall, Width};
+    use arl_isa::{FCmpOp, Fpr, Gpr};
 
     #[test]
     fn classify_matches_latency_table() {
@@ -179,166 +110,5 @@ mod tests {
             assert_eq!(FuClass::from_tag(fu.tag()), Some(fu));
         }
         assert_eq!(FuClass::from_tag(4), None);
-    }
-
-    #[test]
-    fn store_splits_address_and_data_operands() {
-        let st = Inst::Store {
-            width: Width::Word,
-            rs: Gpr::T1,
-            base: Gpr::SP,
-            offset: 8,
-        };
-        let (srcs, data) = model_srcs(&st);
-        assert_eq!(srcs, [Gpr::SP.index() as u8, NO_SRC, NO_SRC]);
-        assert_eq!(data, Gpr::T1.index() as u8);
-        // $zero never creates a dependence on either side.
-        let st0 = Inst::Store {
-            width: Width::Word,
-            rs: Gpr::ZERO,
-            base: Gpr::ZERO,
-            offset: 8,
-        };
-        assert_eq!(model_srcs(&st0), ([NO_SRC; 3], NO_SRC));
-    }
-
-    #[test]
-    fn fstore_data_is_unconditional() {
-        let st = Inst::FStore {
-            fs: Fpr::new(0),
-            base: Gpr::ZERO,
-            offset: 0,
-        };
-        let (srcs, data) = model_srcs(&st);
-        assert_eq!(srcs, [NO_SRC; 3]);
-        assert_eq!(data, 32);
-    }
-
-    #[test]
-    fn non_store_sources_follow_the_isa_extractors() {
-        let add = Inst::Alu {
-            op: AluOp::Add,
-            rd: Gpr::T0,
-            rs: Gpr::T1,
-            rt: Gpr::ZERO,
-        };
-        assert_eq!(
-            model_srcs(&add),
-            ([Gpr::T1.index() as u8, NO_SRC, NO_SRC], NO_SRC)
-        );
-        let fcmp = Inst::FCmp {
-            op: FCmpOp::Eq,
-            rd: Gpr::T0,
-            fs: Fpr::new(3),
-            ft: Fpr::new(4),
-        };
-        assert_eq!(model_srcs(&fcmp), ([35, 36, NO_SRC], NO_SRC));
-        let br = Inst::Branch {
-            cond: BranchCond::Eq,
-            rs: Gpr::T1,
-            rt: Gpr::T2,
-            target: 0x40_0000,
-        };
-        assert_eq!(
-            model_srcs(&br),
-            (
-                [Gpr::T1.index() as u8, Gpr::T2.index() as u8, NO_SRC],
-                NO_SRC
-            )
-        );
-        let sys = Inst::Sys {
-            call: Syscall::Malloc,
-        };
-        assert_eq!(
-            model_srcs(&sys),
-            ([Gpr::A0.index() as u8, NO_SRC, NO_SRC], NO_SRC)
-        );
-    }
-
-    #[test]
-    fn fpr_dest_offsets_into_unified_file() {
-        let fl = Inst::FLoad {
-            fd: Fpr::new(7),
-            base: Gpr::SP,
-            offset: 0,
-        };
-        assert_eq!(fpr_dest_index(&fl), 39);
-        assert_eq!(fpr_dest_index(&Inst::Nop), NO_SRC);
-    }
-
-    /// Exhaustive-ish cross-check against the `arl-isa` extractors: for a
-    /// spread of instruction shapes, `model_srcs` must agree with
-    /// `gpr_sources_into`/`fpr_sources_into` under the dispatch-stage
-    /// store split.
-    #[test]
-    fn model_srcs_agrees_with_isa_extractors() {
-        let insts = [
-            Inst::Nop,
-            Inst::Lui {
-                rd: Gpr::T0,
-                imm: 7,
-            },
-            Inst::AluI {
-                op: AluOp::Add,
-                rd: Gpr::T0,
-                rs: Gpr::GP,
-                imm: 4,
-            },
-            Inst::Load {
-                width: Width::Double,
-                signed: true,
-                rd: Gpr::T0,
-                base: Gpr::SP,
-                offset: 0,
-            },
-            Inst::FLoad {
-                fd: Fpr::new(1),
-                base: Gpr::T3,
-                offset: 8,
-            },
-            Inst::CvtIf {
-                fd: Fpr::new(2),
-                rs: Gpr::T4,
-            },
-            Inst::CvtFi {
-                rd: Gpr::T5,
-                fs: Fpr::new(6),
-            },
-            Inst::FAlu {
-                op: FAluOp::Neg,
-                fd: Fpr::new(0),
-                fs: Fpr::new(1),
-                ft: Fpr::new(2),
-            },
-            Inst::Jr { rs: Gpr::RA },
-            Inst::Jalr {
-                rd: Gpr::RA,
-                rs: Gpr::T9,
-            },
-            Inst::Sys {
-                call: Syscall::Exit,
-            },
-        ];
-        for inst in insts {
-            let (srcs, data) = model_srcs(&inst);
-            assert_eq!(data, NO_SRC, "{inst}: only stores carry data operands");
-            let mut expect = [NO_SRC; 3];
-            let mut n = 0;
-            let mut gprs = [Gpr::ZERO; 2];
-            let ng = inst.gpr_sources_into(&mut gprs);
-            for &r in &gprs[..ng] {
-                expect[n] = r.index() as u8;
-                n += 1;
-            }
-            let mut fprs = [Fpr::new(0); 2];
-            let nf = inst.fpr_sources_into(&mut fprs);
-            for &r in &fprs[..nf] {
-                if n < 3 {
-                    expect[n] = 32 + r.index() as u8;
-                    n += 1;
-                }
-            }
-            assert_eq!(srcs, expect, "{inst}");
-        }
     }
 }

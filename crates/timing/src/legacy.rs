@@ -1,7 +1,7 @@
 //! The **legacy** cycle-ticking reference core (`ARL_CORE=legacy`).
 //!
 //! This is the pre-refactor pipeline, preserved verbatim as an escape
-//! hatch and as the reference the event-driven SoA core in
+//! hatch and as the reference the event-driven core in
 //! [`crate::pipeline`] is differentially tested against: one array-of-
 //! structs ROB slot per instruction, every stage walking the full ROB,
 //! and the clock ticking through every cycle — idle or not. Its outputs
@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint};
 use arl_isa::Inst;
-use arl_sim::{ModelHints, SourceError, TraceEntry};
+use arl_sim::{SourceError, TraceEntry};
 
 use crate::cache::{MemSystem, Route};
 use crate::config::{MachineConfig, RecoveryMode};
@@ -39,7 +39,7 @@ enum Fu {
 
 /// Execution latency and FU class per instruction (MIPS R10000-flavoured);
 /// delegates to the shared [`arl_core::classify_fu`] table so the legacy
-/// reference, the event core, and the trace-time compiler cannot drift.
+/// reference and the event core cannot drift.
 fn classify(inst: &Inst) -> (Fu, u64) {
     let (class, latency) = classify_fu(inst);
     let fu = match class {
@@ -555,29 +555,16 @@ impl<P: Probe> LegacySim<P> {
             return false;
         }
         // Memory instructions need a queue entry; pick the queue now (the
-        // paper's dispatch-stage steering). Compiled traces (v3) carry the
-        // steering class and folded ARPT key precomputed; either path
-        // consults and counts the same table lookup, so the prediction
-        // stream is bit-identical.
-        let hints = &entry.model;
+        // paper's dispatch-stage steering).
         let mut route = Route::DataCache;
         let mut arpt_predicted = false;
         let is_mem = entry.mem.is_some();
         if is_mem {
             if self.config.is_decoupled() {
-                let hint = if hints.present {
-                    match hints.steer {
-                        ModelHints::STEER_STACK => StaticHint::Stack,
-                        ModelHints::STEER_NONSTACK => StaticHint::NonStack,
-                        _ => StaticHint::Dynamic,
-                    }
-                } else {
-                    let Some(info) = entry.inst.mem_op() else {
-                        unreachable!("memory entry carries no mem_op");
-                    };
-                    static_hint(&info)
+                let Some(info) = entry.inst.mem_op() else {
+                    unreachable!("memory entry carries no mem_op");
                 };
-                let predicted_stack = match hint {
+                let predicted_stack = match static_hint(&info) {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
@@ -585,11 +572,7 @@ impl<P: Probe> LegacySim<P> {
                         if !self.arpt_faults.is_empty() {
                             self.apply_arpt_faults();
                         }
-                        if hints.present {
-                            self.arpt.predict_counted_key(hints.arpt_key)
-                        } else {
-                            self.arpt.predict_counted(entry.pc, entry.ghr, entry.ra)
-                        }
+                        self.arpt.predict_counted(entry.pc, entry.ghr, entry.ra)
                     }
                 };
                 route = if predicted_stack {

@@ -9,10 +9,10 @@
 //!
 //! ## Hot-loop layout and the event-driven core
 //!
-//! In-flight state lives in a structure-of-arrays ring buffer ([`RobSoa`]):
-//! each per-slot field is its own array, so the per-cycle walks (issue
-//! wake-up, memory-stage scan, commit) touch dense homogeneous memory
-//! instead of striding over wide structs.
+//! In-flight state lives in a ring buffer of packed per-instruction
+//! [`Slot`] records ([`Rob`]); the stages reach a slot through its sequence
+//! number in O(1), and the commit scan walks only the head-contiguous run
+//! of completed slots.
 //!
 //! One run loop ([`crate::TimingRun`]) drives the stages of either core,
 //! selected by [`crate::CoreMode`] (`ARL_CORE`):
@@ -39,9 +39,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use arl_asm::Program;
-use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint, NO_SRC};
-use arl_isa::Inst;
-use arl_sim::{EntrySliceSource, Machine, ModelHints, SourceError, TraceEntry, TraceSource};
+use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint};
+use arl_sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
 use crate::config::{MachineConfig, RecoveryMode};
@@ -55,47 +54,6 @@ use crate::state::{
 };
 use crate::valuepred::StridePredictor;
 use crate::wheel::EventWheel;
-
-/// Functional-unit classes (Table 4: 16 int ALUs, 16 FP ALUs, 4 int
-/// mul/div, 4 FP mul/div).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fu {
-    IntAlu,
-    FpAlu,
-    IntMulDiv,
-    FpMulDiv,
-}
-
-/// Execution latency and FU class per instruction (MIPS R10000-flavoured).
-/// The table itself lives in [`arl_core::classify_fu`] so the trace-time
-/// compiler (`arl-trace` v3) and both cores share one definition and
-/// cannot drift.
-fn classify(inst: &Inst) -> (Fu, u64) {
-    let (class, latency) = classify_fu(inst);
-    (fu_of_class(class), latency)
-}
-
-/// The pipeline-local [`Fu`] for a shared [`FuClass`] (discriminants
-/// match; compiled traces and state blobs both carry the `FuClass` tags).
-fn fu_of_class(class: FuClass) -> Fu {
-    match class {
-        FuClass::IntAlu => Fu::IntAlu,
-        FuClass::FpAlu => Fu::FpAlu,
-        FuClass::IntMulDiv => Fu::IntMulDiv,
-        FuClass::FpMulDiv => Fu::FpMulDiv,
-    }
-}
-
-/// Serialization tag for a [`Fu`] (sharded-replay state blobs).
-fn fu_from(tag: u8) -> Result<Fu, SourceError> {
-    match tag {
-        0 => Ok(Fu::IntAlu),
-        1 => Ok(Fu::FpAlu),
-        2 => Ok(Fu::IntMulDiv),
-        3 => Ok(Fu::FpMulDiv),
-        _ => Err(corrupt("functional-unit class out of range")),
-    }
-}
 
 /// Serialization tag for a [`MemPhase`] (sharded-replay state blobs).
 fn phase_tag(phase: MemPhase) -> u8 {
@@ -120,11 +78,11 @@ fn phase_from(tag: u8) -> Result<MemPhase, SourceError> {
 const NO_CYCLE: u64 = u64::MAX;
 /// Sentinel for "no producer" in the dependence arrays and renamer map.
 const NO_SEQ: u64 = u64::MAX;
-/// Sentinel for "no renamer claim" in [`RobSoa::claimed`].
+/// Sentinel for "no renamer claim" in [`Slot::claimed`].
 const NO_REG: u8 = u8::MAX;
-/// [`RobSoa::issue_q`]/[`RobSoa::mem_q`] value: not appointed anywhere.
+/// [`Slot::issue_q`]/[`Slot::mem_q`] value: not appointed anywhere.
 const QUEUE_NONE: u64 = u64::MAX;
-/// [`RobSoa::issue_q`]/[`RobSoa::mem_q`] value: on the every-cycle retry
+/// [`Slot::issue_q`]/[`Slot::mem_q`] value: on the every-cycle retry
 /// list (blocked on bandwidth/ordering, or a stale-early wake bound).
 const QUEUE_RETRY: u64 = u64::MAX - 1;
 
@@ -191,8 +149,8 @@ struct Slot {
     mem_q: u64,
     /// The folded-before-capacity ARPT training key (`Arpt::key`) for
     /// [`F_ARPT_PRED`] slots, 0 otherwise. Replaces carrying `pc`/`ghr`/`ra`
-    /// per slot: dispatch computes it once (or takes it precompiled from a
-    /// v3 trace) and region verification trains through `Arpt::update_key`.
+    /// per slot: dispatch computes it once and region verification trains
+    /// through `Arpt::update_key`.
     arpt_key: u64,
     /// Intrusive next-pointer (an older store's seq, or `NO_SEQ`) chaining
     /// in-flight stores that share a `(block, route)` key — the store
@@ -211,7 +169,7 @@ struct Slot {
     // stage rather than issue.
     wake_head: u64,
     wake_next: [u64; 4],
-    fu: Fu,
+    fu: FuClass,
     mem: MemPhase,
     route: Route,
     flags: u8,
@@ -246,7 +204,7 @@ impl Slot {
         latency: 0,
         wake_head: NO_SEQ,
         wake_next: [NO_SEQ; 4],
-        fu: Fu::IntAlu,
+        fu: FuClass::IntAlu,
         mem: MemPhase::None,
         route: Route::DataCache,
         flags: 0,
@@ -260,7 +218,7 @@ impl Slot {
 /// `seq` lives at physical index `(head + (seq - head_seq)) & mask`.
 /// Capacity is the ROB size rounded up to a power of two and never grows,
 /// so no per-cycle allocation happens on the hot path.
-struct RobSoa {
+struct Rob {
     mask: usize,
     head: usize,
     len: usize,
@@ -274,10 +232,10 @@ struct RobSoa {
     done_prefix: usize,
 }
 
-impl RobSoa {
-    fn new(rob_size: usize) -> RobSoa {
+impl Rob {
+    fn new(rob_size: usize) -> Rob {
         let cap = rob_size.max(1).next_power_of_two();
-        RobSoa {
+        Rob {
             mask: cap - 1,
             head: 0,
             len: 0,
@@ -499,7 +457,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     stats: SimStats,
 
     cycle: u64,
-    rob: RobSoa,
+    rob: Rob,
     next_seq: u64,
     /// Issue appointment book: `(cycle, seq)` pairs drained when due. A
     /// pair is live only while `rob.issue_q[seq]` still equals its cycle.
@@ -519,7 +477,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     dc_unknown: Vec<u64>,
     /// Store index, half two: youngest in-flight store per
     /// `(block, route)` key, chained older-ward through
-    /// [`RobSoa::store_next`]. A load's match/forwarding scan touches only
+    /// [`Slot::store_next`]. A load's match/forwarding scan touches only
     /// the stores that share its block instead of every older store.
     /// Rebuilt (not serialized) on state import; [`Self::load_block_cause`]
     /// keeps the original full scan as the probe-side living spec.
@@ -701,7 +659,7 @@ impl<P: Probe> TimingSim<P> {
                 ..SimStats::default()
             },
             cycle: 0,
-            rob: RobSoa::new(config.rob_size),
+            rob: Rob::new(config.rob_size),
             next_seq: 0,
             issue_book: Book::new(),
             issue_retry: Vec::new(),
@@ -860,7 +818,7 @@ impl<P: Probe> TimingSim<P> {
     /// Serializes the complete machine state at a mid-cycle segment
     /// boundary into a sealed blob (see `crate::state` for the framing).
     /// Everything a resumed [`TimingRun`] loop can
-    /// observe is captured: the ROB (every SoA column), renamer, ordering
+    /// observe is captured: the ROB (every slot field), renamer, ordering
     /// queues, write buffer, predictors, memory system, event wheel, the
     /// appointment-book bookings (via each slot's `issue_q`/`mem_q` key),
     /// and the [`MidCycle`] locals of the cut cycle itself.
@@ -904,7 +862,7 @@ impl<P: Probe> TimingSim<P> {
         }
         write_arpt(&mut w, &self.arpt);
         self.mem.write_state(&mut w);
-        // Event-core section: the SoA window in sequence order plus the
+        // Event-core section: the ROB window in sequence order plus the
         // wheel's pending wake-ups. The appointment books are *not* stored
         // — each slot's `issue_q`/`mem_q` key is the authoritative copy
         // (stale book entries are dropped on drain anyway), so import
@@ -919,7 +877,7 @@ impl<P: Probe> TimingSim<P> {
                 w.u64(d);
             }
             w.u64(self.rob.slot[i].data_dep);
-            w.u8(self.rob.slot[i].fu as u8);
+            w.u8(self.rob.slot[i].fu.tag());
             w.u64(self.rob.slot[i].latency);
             w.u64(self.rob.slot[i].complete_at);
             w.u8(phase_tag(self.rob.slot[i].mem));
@@ -1034,7 +992,8 @@ impl<P: Probe> TimingSim<P> {
                 *d = r.u64()?;
             }
             self.rob.slot[i].data_dep = r.u64()?;
-            self.rob.slot[i].fu = fu_from(r.u8()?)?;
+            self.rob.slot[i].fu = FuClass::from_tag(r.u8()?)
+                .ok_or_else(|| corrupt("functional-unit class out of range"))?;
             self.rob.slot[i].latency = r.u64()?;
             self.rob.slot[i].complete_at = r.u64()?;
             self.rob.slot[i].mem = phase_from(r.u8()?)?;
@@ -1069,7 +1028,7 @@ impl<P: Probe> TimingSim<P> {
             // `stale` is conservatively true (the issue fast path re-proves
             // its invariant on first touch), the done prefix recomputes
             // from the completion column, and the store index re-links from
-            // the SoA (oldest-first push-head leaves the youngest store at
+            // the ROB (oldest-first push-head leaves the youngest store at
             // each chain head, exactly as incremental maintenance does).
             self.rob.slot[i].stale = true;
             if self.rob.done_prefix == k && self.rob.slot[i].complete_at != NO_CYCLE {
@@ -1306,40 +1265,22 @@ impl<P: Probe> TimingSim<P> {
             return false;
         }
         // Memory instructions need a queue entry; pick the queue now (the
-        // paper's dispatch-stage steering). A compiled trace (v3) carries
-        // the steering class and ARPT key precomputed; the live path
-        // derives both from the instruction. Either way the same key is
-        // folded, the same table consulted and trained, and the same
-        // lookup counted, so the prediction stream is bit-identical.
-        let hints = &entry.model;
+        // paper's dispatch-stage steering).
         let mut route = Route::DataCache;
         let mut arpt_predicted = false;
         let mut arpt_key = 0u64;
         let is_mem = entry.mem.is_some();
         if is_mem {
             if self.config.is_decoupled() {
-                let hint = if hints.present {
-                    match hints.steer {
-                        ModelHints::STEER_STACK => StaticHint::Stack,
-                        ModelHints::STEER_NONSTACK => StaticHint::NonStack,
-                        _ => StaticHint::Dynamic,
-                    }
-                } else {
-                    let Some(info) = entry.inst.mem_op() else {
-                        unreachable!("memory entry carries no mem_op");
-                    };
-                    static_hint(&info)
+                let Some(info) = entry.inst.mem_op() else {
+                    unreachable!("memory entry carries no mem_op");
                 };
-                let predicted_stack = match hint {
+                let predicted_stack = match static_hint(&info) {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
                         arpt_predicted = true;
-                        arpt_key = if hints.present {
-                            hints.arpt_key
-                        } else {
-                            self.arpt.key(entry.pc, entry.ghr, entry.ra)
-                        };
+                        arpt_key = self.arpt.key(entry.pc, entry.ghr, entry.ra);
                         if !self.arpt_faults.is_empty() {
                             self.apply_arpt_faults();
                         }
@@ -1369,52 +1310,38 @@ impl<P: Probe> TimingSim<P> {
         self.next_seq += 1;
 
         // Resolve sources against the renamer state. Store-data operands
-        // are tracked separately from address operands. Compiled hints
-        // carry the unified operand indices precomputed
-        // (`arl_core::model_srcs` is the shared definition both paths
-        // follow); the live path extracts them from the instruction.
+        // are tracked separately from address operands.
         let mut deps: [u64; 3] = [NO_SEQ; 3];
         let mut data_dep: u64 = NO_SEQ;
-        if hints.present {
-            for (k, &src) in hints.srcs.iter().enumerate() {
-                if src != NO_SRC {
-                    deps[k] = self.reg_producer[src as usize];
+        match entry.inst {
+            arl_isa::Inst::Store { rs, base, .. } => {
+                if base != arl_isa::Gpr::ZERO {
+                    deps[0] = self.reg_producer[base.index()];
+                }
+                if rs != arl_isa::Gpr::ZERO {
+                    data_dep = self.reg_producer[rs.index()];
                 }
             }
-            if hints.data_src != NO_SRC {
-                data_dep = self.reg_producer[hints.data_src as usize];
+            arl_isa::Inst::FStore { fs, base, .. } => {
+                if base != arl_isa::Gpr::ZERO {
+                    deps[0] = self.reg_producer[base.index()];
+                }
+                data_dep = self.reg_producer[32 + fs.index()];
             }
-        } else {
-            let mut n = 0;
-            match entry.inst {
-                arl_isa::Inst::Store { rs, base, .. } => {
-                    if base != arl_isa::Gpr::ZERO {
-                        deps[0] = self.reg_producer[base.index()];
-                    }
-                    if rs != arl_isa::Gpr::ZERO {
-                        data_dep = self.reg_producer[rs.index()];
-                    }
+            _ => {
+                let mut n = 0;
+                let mut gprs = [arl_isa::Gpr::ZERO; 2];
+                let ng = entry.inst.gpr_sources_into(&mut gprs);
+                for &r in &gprs[..ng] {
+                    deps[n] = self.reg_producer[r.index()];
+                    n += 1;
                 }
-                arl_isa::Inst::FStore { fs, base, .. } => {
-                    if base != arl_isa::Gpr::ZERO {
-                        deps[0] = self.reg_producer[base.index()];
-                    }
-                    data_dep = self.reg_producer[32 + fs.index()];
-                }
-                _ => {
-                    let mut gprs = [arl_isa::Gpr::ZERO; 2];
-                    let ng = entry.inst.gpr_sources_into(&mut gprs);
-                    for &r in &gprs[..ng] {
-                        deps[n] = self.reg_producer[r.index()];
+                let mut fprs = [arl_isa::Fpr::new(0); 2];
+                let nf = entry.inst.fpr_sources_into(&mut fprs);
+                for &r in &fprs[..nf] {
+                    if n < 3 {
+                        deps[n] = self.reg_producer[32 + r.index()];
                         n += 1;
-                    }
-                    let mut fprs = [arl_isa::Fpr::new(0); 2];
-                    let nf = entry.inst.fpr_sources_into(&mut fprs);
-                    for &r in &fprs[..nf] {
-                        if n < 3 {
-                            deps[n] = self.reg_producer[32 + r.index()];
-                            n += 1;
-                        }
                     }
                 }
             }
@@ -1433,23 +1360,13 @@ impl<P: Probe> TimingSim<P> {
             self.reg_producer[rd.index()] = seq;
             claimed[0] = rd.index() as u8;
         }
-        let fpr_dest = if hints.present {
-            hints.fpr_dest
-        } else {
-            arl_core::fpr_dest_index(&entry.inst)
-        };
-        if fpr_dest != NO_SRC {
-            self.reg_producer[fpr_dest as usize] = seq;
-            claimed[1] = fpr_dest;
+        if let Some(fd) = entry.inst.fpr_dest() {
+            let r = 32 + fd.index();
+            self.reg_producer[r] = seq;
+            claimed[1] = r as u8;
         }
 
-        let (fu, latency) = if hints.present {
-            let class = FuClass::from_tag(hints.fu).unwrap_or(FuClass::IntAlu);
-            (fu_of_class(class), u64::from(hints.latency))
-        } else {
-            classify(&entry.inst)
-        };
-        debug_assert_eq!((fu, latency), classify(&entry.inst));
+        let (fu, latency) = classify_fu(&entry.inst);
         let (is_load, addr, is_stack) = match entry.mem {
             Some(m) => (m.is_load, m.addr, m.is_stack()),
             None => (false, 0, false),
@@ -1633,10 +1550,10 @@ impl<P: Probe> TimingSim<P> {
                 };
                 let fu_idx = fu as usize;
                 let fu_cap = match fu {
-                    Fu::IntAlu => self.config.int_alus,
-                    Fu::FpAlu => self.config.fp_alus,
-                    Fu::IntMulDiv => self.config.int_mul_div,
-                    Fu::FpMulDiv => self.config.fp_mul_div,
+                    FuClass::IntAlu => self.config.int_alus,
+                    FuClass::FpAlu => self.config.fp_alus,
+                    FuClass::IntMulDiv => self.config.int_mul_div,
+                    FuClass::FpMulDiv => self.config.fp_mul_div,
                 };
                 if ready && self.fu_used[fu_idx] < fu_cap {
                     self.fu_used[fu_idx] += 1;

@@ -21,12 +21,13 @@ use arl::sim::{
 };
 use arl::stats::Json;
 use arl::timing::{BackendConfig, CoreMode, MachineConfig, SimStats, TimingSim};
-use arl::trace::{capture, capture_compiled, capture_with, Replayer};
+use arl::trace::{capture, capture_with, Replayer};
 use arl::workloads::{suite, workload, Scale};
 use arl_bench::{
     ablation_twobit_schemes, backends_bench, evaluate_trace, evaluate_trace_schemes,
-    figure5_schemes, table3_schemes, timing_trace_fanned, timing_trace_fanned_probed_chunked,
-    timing_trace_probed, ExperimentOptions, ExperimentRun, FannedTiming, TraceMode,
+    figure5_schemes, table3_schemes, timing_trace_fanned, timing_trace_fanned_probed,
+    timing_trace_fanned_probed_chunked, timing_trace_probed, ExperimentOptions, ExperimentRun,
+    FannedTiming, TraceMode,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -114,9 +115,9 @@ fn replayed_predictor_stats_are_bit_identical_for_every_workload() {
     }
 }
 
-/// The prediction experiments' fan-out: one replay pass over a plain
-/// capture feeding every scheme must equal one separate replay per scheme
-/// over a compiled capture, for every experiment's scheme set.
+/// The prediction experiments' fan-out: one replay pass feeding every
+/// scheme must equal one separate replay per scheme, for every
+/// experiment's scheme set.
 #[test]
 fn fanned_out_scheme_evaluation_matches_separate_replays() {
     let _guard = lock();
@@ -127,8 +128,6 @@ fn fanned_out_scheme_evaluation_matches_separate_replays() {
         let program = spec.build(Scale::tiny());
         let mut profiler = RegionProfiler::new();
         let plain = capture_with(&program, CAP, |e| profiler.observe(e)).expect("plain capture");
-        let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
-        assert!(!plain.has_model() && compiled.has_model());
         let hints = HintTable::from_profile(&profiler);
         let sets = [
             ("figure4", configs(EvalConfig::figure4_schemes())),
@@ -140,7 +139,7 @@ fn fanned_out_scheme_evaluation_matches_separate_replays() {
             let fanned = evaluate_trace_schemes(&program, &plain, spec.name, configs);
             assert_eq!(fanned.len(), configs.len(), "{}/{set}: reports", spec.name);
             for (si, (config, fan)) in configs.iter().zip(&fanned).enumerate() {
-                let single = evaluate_trace(&program, &compiled, spec.name, config.clone());
+                let single = evaluate_trace(&program, &plain, spec.name, config.clone());
                 let cell = format!("{}/{set} scheme {si}", spec.name);
                 assert_eq!(fan.stats, single.stats, "{cell}: stats");
                 assert_eq!(fan.arpt_occupied, single.arpt_occupied, "{cell}: ARPT");
@@ -175,11 +174,10 @@ fn assert_stats_bounds(stats: &SimStats, cell: &str) {
     );
 }
 
-/// The timing experiments' fan-out: one lock-step replay over a plain
-/// capture feeding every Figure 8 config must equal one separate replay
-/// per config over a compiled capture — stats and probe output, on both
-/// cores, whether the runs are cut at every entry, at odd offsets, or at
-/// the production chunk size.
+/// The timing experiments' fan-out: one lock-step replay feeding every
+/// Figure 8 config must equal one separate replay per config — stats and
+/// probe output, on both cores, whether the runs are cut at every entry,
+/// at odd offsets, or at the production chunk size.
 #[test]
 fn fanned_out_timing_matches_separate_replays() {
     let _guard = lock();
@@ -193,7 +191,6 @@ fn fanned_out_timing_matches_separate_replays() {
                 let Some(spec) = specs.get(i) else { break };
                 let program = spec.build(Scale::tiny());
                 let plain = capture(&program, CAP).expect("plain capture");
-                let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
                 for core in [CoreMode::Event, CoreMode::Legacy] {
                     let configs: Vec<MachineConfig> = MachineConfig::figure8_suite()
                         .into_iter()
@@ -205,8 +202,7 @@ fn fanned_out_timing_matches_separate_replays() {
                     let separate: Vec<(SimStats, String)> = configs
                         .iter()
                         .map(|c| {
-                            let (stats, rec) =
-                                timing_trace_probed(&program, &compiled, spec.name, c);
+                            let (stats, rec) = timing_trace_probed(&program, &plain, spec.name, c);
                             (stats, rec.to_json().render())
                         })
                         .collect();
@@ -242,14 +238,13 @@ fn fanned_out_timing_matches_separate_replays() {
     });
 }
 
-/// The backend sweep's fan-out: one lock-step replay over a plain capture
-/// feeding a machine on every memory backend must equal one separate
-/// probed replay per backend over a compiled capture — stats and probe
-/// output, on both cores, at every cut — and every cell must keep the
-/// implementation-independent bounds, stall conservation included. The
-/// stats include the stacked and burst device counters, and a chunk of 1
-/// cuts the runs between every pair of entries, so device state lost
-/// across a `feed` boundary shows here.
+/// The backend sweep's fan-out: one lock-step replay feeding a machine on
+/// every memory backend must equal one separate probed replay per backend
+/// — stats and probe output, on both cores, at every cut — and every cell
+/// must keep the implementation-independent bounds, stall conservation
+/// included. The stats include the stacked and burst device counters, and
+/// a chunk of 1 cuts the runs between every pair of entries, so device
+/// state lost across a `feed` boundary shows here.
 #[test]
 fn fanned_backends_match_separate_replays() {
     let _guard = lock();
@@ -271,7 +266,6 @@ fn fanned_backends_match_separate_replays() {
                 };
                 let program = workload(name).expect("sweep program").build(Scale::tiny());
                 let plain = capture(&program, CAP).expect("plain capture");
-                let compiled = capture_compiled(&program, CAP, 0).expect("compiled capture");
                 for mut machine in [
                     MachineConfig::baseline_2_0(),
                     MachineConfig::decoupled(3, 3),
@@ -284,7 +278,7 @@ fn fanned_backends_match_separate_replays() {
                     let separate: Vec<(SimStats, String)> = configs
                         .iter()
                         .map(|c| {
-                            let (stats, rec) = timing_trace_probed(&program, &compiled, name, c);
+                            let (stats, rec) = timing_trace_probed(&program, &plain, name, c);
                             (stats, rec.to_json().render())
                         })
                         .collect();
@@ -309,6 +303,50 @@ fn fanned_backends_match_separate_replays() {
                                 "{cell}: useful + stalls"
                             );
                         }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// The implementation-independent bounds and stall conservation on every
+/// program, not just the backend sweep's three: all 12 programs × every
+/// memory backend × {(2+0), (3+3)} on the event core, one probed
+/// lock-step replay per (program × machine).
+#[test]
+fn every_program_keeps_the_bounds_on_every_backend() {
+    let _guard = lock();
+    let specs = suite();
+    // Two workers over the programs; each program is checked whole.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let program = spec.build(Scale::tiny());
+                let trace = capture(&program, CAP).expect("capture");
+                for mut machine in [
+                    MachineConfig::baseline_2_0(),
+                    MachineConfig::decoupled(3, 3),
+                ] {
+                    machine.core = CoreMode::Event;
+                    let configs: Vec<MachineConfig> = BackendConfig::ALL
+                        .iter()
+                        .map(|&backend| machine.clone().with_backend(backend))
+                        .collect();
+                    let fanned = timing_trace_fanned_probed(&program, &trace, spec.name, &configs);
+                    assert_eq!(fanned.len(), configs.len());
+                    for (config, FannedTiming { stats, probe, .. }) in configs.iter().zip(&fanned) {
+                        let cell = format!("{}/{}", spec.name, config.name);
+                        assert_stats_bounds(stats, &cell);
+                        assert_eq!(probe.cycles(), stats.cycles, "{cell}: probed cycles");
+                        assert_eq!(
+                            probe.useful_cycles() + probe.total_stall_cycles(),
+                            stats.cycles,
+                            "{cell}: useful + stalls"
+                        );
                     }
                 }
             });
